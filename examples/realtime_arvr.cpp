@@ -39,7 +39,8 @@ runScenario(cost::CostModel &model, const workload::Workload &wl,
             bool print_frames)
 {
     sched::SchedulerOptions opts;
-    opts.deadlineAware = deadline_aware;
+    opts.policy =
+        deadline_aware ? sched::Policy::Edf : sched::Policy::Fifo;
     sched::HeraldScheduler scheduler(model, opts);
     sched::Schedule schedule = scheduler.schedule(wl, acc);
     std::string issue = schedule.validate(wl, acc);
@@ -111,7 +112,7 @@ main()
 
     // Timeline of the EDF schedule.
     sched::SchedulerOptions edf_opts;
-    edf_opts.deadlineAware = true;
+    edf_opts.policy = sched::Policy::Edf;
     sched::Schedule schedule =
         sched::HeraldScheduler(model, edf_opts).schedule(wl, acc);
     std::printf("\nEDF execution timeline\n%s\n",
@@ -123,7 +124,7 @@ main()
     dse_opts.partition.peGranularity = chip.numPes / 16;
     dse_opts.partition.bwGranularity = chip.bwGBps / 8;
     dse_opts.objective = dse::Objective::SlaViolations;
-    dse_opts.scheduler.deadlineAware = true;
+    dse_opts.scheduler.policy = sched::Policy::Edf;
     dse::Herald herald(model, dse_opts);
     dse::DseResult result = herald.explore(
         wl, chip,

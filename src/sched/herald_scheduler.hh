@@ -18,15 +18,16 @@
  *
  * Throughput architecture: schedule() first builds a LayerCostTable
  * (every unique (layer, sub-acc) cost evaluated once, optionally
- * prefilled across a ThreadPool) and then runs an event-driven
- * dispatch loop — instances are released from an arrival-sorted
- * cursor into ordered ready sets, so picking the next instance is
- * O(log n) instead of an O(n_instances) scan per layer, and the loop
- * body is allocation- and lock-free. The original per-layer-query
- * O(L x N) implementation survives as a test/bench-only verification
- * oracle (sched/reference_scheduler.hh, outside libherald): both
- * paths produce bit-identical schedules (asserted by
- * tests/test_sched_equivalence.cc).
+ * prefilled across a ThreadPool) and then runs step 1 on the one
+ * event-driven dispatch engine, OnlineScheduler's batch path
+ * (sched/online_scheduler.hh) — instances are released from an
+ * arrival-sorted cursor into ordered ready sets, so picking the next
+ * instance is O(log n) instead of an O(n_instances) scan per layer.
+ * Step 2 then runs on the retained schedule. The original
+ * per-layer-query O(L x N) implementation survives as a
+ * test/bench-only verification oracle (sched/reference_scheduler.hh,
+ * outside libherald): both paths produce bit-identical schedules
+ * (asserted by tests/test_sched_equivalence.cc).
  */
 
 #pragma once
@@ -109,17 +110,9 @@ struct SchedulerOptions
      * order), EDF (nearest absolute deadline) or LST (least slack,
      * deadline minus optimistic remaining work). Ties — including
      * every instance of a deadline-free workload — resolve via
-     * @c ordering. Read through effectivePolicy(), which honours the
-     * deprecated @c deadlineAware alias.
+     * @c ordering.
      */
     Policy policy = Policy::Fifo;
-
-    /**
-     * @deprecated Alias kept for source compatibility: setting it
-     * while @c policy is Policy::Fifo selects Policy::Edf. Use
-     * @c policy directly in new code.
-     */
-    bool deadlineAware = false;
 
     /**
      * Over-subscription admission control: DropPolicy::HopelessFrames
@@ -150,14 +143,6 @@ struct SchedulerOptions
      * band. Only consulted when the effective policy is LST.
      */
     double lstHysteresisCycles = 0.0;
-
-    /** The policy after resolving the deprecated alias. */
-    Policy
-    effectivePolicy() const
-    {
-        return policy == Policy::Fifo && deadlineAware ? Policy::Edf
-                                                       : policy;
-    }
 
     /** Enable the load-balancing feedback loop. */
     bool loadBalance = true;

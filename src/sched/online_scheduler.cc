@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/logging.hh"
 
@@ -58,7 +59,7 @@ OnlineOptions::validate() const
     if (sched.reconfig.enabled() && !retainSchedule)
         util::fatal("online scheduler: elastic repartitioning "
                     "requires retainSchedule — reconfiguration "
-                    "events live on the Schedule and the offline "
+                    "events live on the Schedule and the batch-path "
                     "bit-identity contract cannot be checked with "
                     "history retired");
 }
@@ -73,8 +74,44 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
     opts.validate();
     if (models.empty())
         util::fatal("online scheduler: no models to serve");
+    // One template instance per model: the cost table only depends on
+    // the set of unique models, so every stream frame shares it.
+    for (const dnn::Model &m : models)
+        templateWl.addModel(m, 1);
+    ownTable = LayerCostTable::build(cost_model, templateWl, acc,
+                                     opts.sched.metric,
+                                     opts.sched.rdaOverheads,
+                                     opts.sched.prefillThreads);
+    bind(cost_model, templateWl, ownTable, acc);
+}
+
+OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
+                                 const workload::Workload &wl,
+                                 const accel::Accelerator &acc,
+                                 const LayerCostTable &table,
+                                 OnlineOptions options)
+    : opts(std::move(options)), templateWl("online-templates"),
+      memory(acc.globalBufferBytes()), sched(acc.numSubAccs())
+{
+    opts.validate();
+    if (wl.specs().empty())
+        util::fatal("online scheduler: no models to serve");
+    if (table.numSubAccs() != acc.numSubAccs())
+        util::fatal("online scheduler: cost table covers ",
+                    table.numSubAccs(),
+                    " sub-accelerators, accelerator has ",
+                    acc.numSubAccs());
+    bind(cost_model, wl, table, acc);
+}
+
+void
+OnlineScheduler::bind(cost::CostModel &cost_model,
+                      const workload::Workload &spec_wl,
+                      const LayerCostTable &base_table,
+                      const accel::Accelerator &acc)
+{
     nAcc = acc.numSubAccs();
-    nModels = models.size();
+    nModels = spec_wl.specs().size();
 
     const FaultTimeline &faults = opts.sched.faults;
     faulty = !faults.empty();
@@ -84,22 +121,16 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
                     " sub-accelerators, accelerator has ", nAcc);
     }
 
-    // One template instance per model: the cost table only depends on
-    // the set of unique models, so every stream frame shares it.
-    for (const dnn::Model &m : models)
-        templateWl.addModel(m, 1);
-    table = LayerCostTable::build(cost_model, templateWl, acc,
-                                  opts.sched.metric,
-                                  opts.sched.rdaOverheads,
-                                  opts.sched.prefillThreads);
-    activeTable = &table;
+    specWl = &spec_wl;
+    table = &base_table;
+    activeTable = table;
     uidOf.resize(nModels);
     rowBaseOf.resize(nModels);
     layersOf.resize(nModels);
     for (std::size_t m = 0; m < nModels; ++m) {
-        uidOf[m] = templateWl.uniqueIdOfSpec(m);
-        rowBaseOf[m] = table.rowOf(uidOf[m], 0);
-        layersOf[m] = models[m].numLayers();
+        uidOf[m] = spec_wl.uniqueIdOfSpec(m);
+        rowBaseOf[m] = table->rowOf(uidOf[m], 0);
+        layersOf[m] = spec_wl.specs()[m].model.numLayers();
     }
 
     reconfig = opts.sched.reconfig.enabled();
@@ -117,7 +148,7 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
     preempt = opts.sched.preemption == Preemption::AtLayerBoundary;
     doomDrop = opts.sched.dropPolicy == DropPolicy::DoomedFrames;
     dropAny = opts.sched.dropPolicy != DropPolicy::None;
-    policyKind = opts.sched.effectivePolicy();
+    policyKind = opts.sched.policy;
     hysteresis = opts.sched.lstHysteresisCycles > 0.0 &&
                  policyKind == Policy::Lst;
 
@@ -129,7 +160,7 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
 
     if (faulty && dropAny) {
         admissionView =
-            std::make_unique<LayerCostTable::DegradedView>(table);
+            std::make_unique<LayerCostTable::DegradedView>(*table);
         deadMask.assign(nAcc, 0);
         bool dead_at_zero = false;
         for (std::size_t a = 0; a < nAcc; ++a) {
@@ -148,7 +179,7 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
             // The run view starts from the same dead-at-zero state
             // and is refreshed as the floor passes later onsets.
             runView = std::make_unique<LayerCostTable::DegradedView>(
-                table);
+                *table);
             if (dead_at_zero)
                 runView->rebuild(deadMask);
         }
@@ -193,11 +224,14 @@ OnlineScheduler::keyOf(std::size_t idx) const
       case Policy::Edf:
         return f.deadline;
       case Policy::Lst:
-        // The pristine table, even under faults — exactly LstPolicy.
+        // Slack up to a shared "now" term that cancels out of every
+        // comparison; read off the pristine table, even under faults.
+        // Deadline-free frames key to +inf, so LST is an exact no-op
+        // (FIFO) on deadline-free workloads.
         return f.deadline == workload::kNoDeadline
                    ? workload::kNoDeadline
                    : f.deadline -
-                         table.remainingCycles(f.uid, f.nextLayer);
+                         table->remainingCycles(f.uid, f.nextLayer);
     }
     util::panic("unknown Policy");
 }
@@ -237,8 +271,7 @@ OnlineScheduler::readyRekey(std::size_t idx)
 }
 
 // ------------------------------------------------------------------
-// Dispatch-loop helpers (ports of the offline lambdas; see
-// herald_scheduler.cc for the full reasoning behind each rule)
+// Dispatch-loop helpers
 // ------------------------------------------------------------------
 
 double
@@ -259,6 +292,12 @@ OnlineScheduler::minAvail() const
             lo = std::min(lo, accAvail[a]);
         return lo;
     }
+    // Degraded floor: the earliest cycle any *usable* capacity frees
+    // up. A dead sub-accelerator's frozen frontier must not hold the
+    // floor down forever — project each frontier through the fault
+    // timeline (kNeverCycle once it has permanently failed; +inf
+    // overall means no capacity is left, dooming every deadline
+    // frame).
     double lo = kNeverCycle;
     for (std::size_t a = 0; a < nAcc; ++a)
         lo = std::min(lo, faults.nextAvailable(a, accAvail[a]));
@@ -280,9 +319,11 @@ OnlineScheduler::retirementFloor() const
     // max(nextAvailable, P) bounds every future start — and it keeps
     // advancing with the stream even on a lopsided accelerator mix.
     double p = draining ? kNeverCycle : std::max(watermark, 0.0);
-    for (const Frame &f : win)
+    for (std::size_t idx = winFront; idx < totalFrames(); ++idx) {
+        const Frame &f = frameAt(idx);
         if (!f.finished)
             p = std::min(p, f.readyTime);
+    }
     const FaultTimeline &faults = opts.sched.faults;
     double floor = kNeverCycle;
     for (std::size_t a = 0; a < nAcc; ++a) {
@@ -294,6 +335,13 @@ OnlineScheduler::retirementFloor() const
     return floor;
 }
 
+// Provably-doomed test against the evolving schedule: the next
+// remaining layer cannot start before max(dependence-chain ready time,
+// earliest sub-accelerator availability), and the chain needs at least
+// its optimistic suffix — if even that lower bound overshoots the
+// deadline, no continuation can save the frame. Under faults the
+// suffix comes from the run view, which only masks sub-accelerators
+// already unusable at every cycle >= the frame's "now".
 bool
 OnlineScheduler::doomedNow(std::size_t idx, double now_floor) const
 {
@@ -305,6 +353,10 @@ OnlineScheduler::doomedNow(std::size_t idx, double now_floor) const
     return now + rem > f.deadline + kEps;
 }
 
+// Fold permanent failures whose onset the availability floor has
+// passed into the run view, re-keying the doom set against the shrunk
+// capacity (a frame's remaining-work bound can only grow, so re-proofs
+// may newly doom it).
 void
 OnlineScheduler::refreshDegraded(double floor)
 {
@@ -360,6 +412,13 @@ OnlineScheduler::finishFrame(std::size_t idx)
         ++framesRescheduled;
 }
 
+// Shed a live frame mid-schedule: committed layers stay on the
+// timeline (the cycles were really spent), the rest are cancelled, and
+// the frame is recorded as dropped (and therefore missed). Called
+// under DropPolicy::DoomedFrames, and — under any drop policy — when a
+// fault timeline leaves a frame with no usable sub-accelerator at all
+// (graceful degradation: the alternative is a dispatch loop that can
+// never terminate).
 void
 OnlineScheduler::dropLive(std::size_t idx)
 {
@@ -384,6 +443,13 @@ OnlineScheduler::dropLive(std::size_t idx)
     maxLatency = workload::kNoDeadline;
 }
 
+// Released frames with pending layers live in the (key, id)-ordered
+// ready set. Under DoomedFrames a frame is doom-tested the moment it
+// is released (its arrival may already be inside a backlog) and
+// tracked in the doom set afterwards: deadline - remaining < now is
+// exactly now + remaining > deadline, so as the floor advances doomed
+// frames surface at the set's front and are shed in amortized
+// O(log n), with no per-layer scan over all live frames.
 void
 OnlineScheduler::releaseInst(std::size_t idx)
 {
@@ -402,12 +468,16 @@ OnlineScheduler::releaseInst(std::size_t idx)
     f.inDoom = true;
 }
 
+// The release clock is the latest committed end cycle: a frame
+// competes for dispatch only once its arrival is inside the committed
+// horizon. The cursor sweeps frames in arrival order, releasing each
+// exactly once.
 void
 OnlineScheduler::releaseUpTo(double frontier)
 {
     const std::size_t total = totalFrames();
     while (cursor < total) {
-        const std::size_t idx = cursor;
+        const std::size_t idx = idAt(cursor);
         if (frameAt(idx).arrival > frontier + kEps)
             break;
         ++cursor;
@@ -415,12 +485,16 @@ OnlineScheduler::releaseUpTo(double frontier)
     }
 }
 
+// Preemptive release: everything arriving strictly before the
+// tentatively planned commit's end joins the ready set now — called
+// only when at least one such arrival is strictly more urgent than
+// the planned frame, so FIFO (constant key) never triggers it.
 void
 OnlineScheduler::releaseWindow(double end)
 {
     const std::size_t total = totalFrames();
     while (cursor < total) {
-        const std::size_t idx = cursor;
+        const std::size_t idx = idAt(cursor);
         if (frameAt(idx).arrival >= end - kEps)
             break;
         ++cursor;
@@ -428,6 +502,13 @@ OnlineScheduler::releaseWindow(double end)
     }
 }
 
+// Fault-aware placement on one sub-accelerator: the earliest start at
+// or after `earliest` that is outside every known outage, before the
+// sub-accelerator's permanent failure, and memory-feasible. The
+// throttle factor is sampled at the start and held for the whole layer
+// (layers are atomic). Termination: each round either returns or
+// strictly advances `s` to a memory event boundary past an
+// availability point — both finite sets.
 bool
 OnlineScheduler::placeOn(std::size_t a, double earliest,
                          double base_cycles, double penalty,
@@ -460,92 +541,38 @@ OnlineScheduler::planLayer(std::size_t inst) const
     const std::size_t *order = activeTable->order(row);
     const FaultTimeline &faults = opts.sched.faults;
 
-    if (faulty) {
-        Plan plan;
-        const double base_ready = frame.readyTime;
-        auto usable = [&](std::size_t a) {
-            return std::isfinite(faults.nextAvailable(
-                a, std::max(base_ready, accAvail[a])));
-        };
-        std::size_t chosen = SIZE_MAX;
-        for (std::size_t k = 0; k < nAcc; ++k) {
-            if (usable(order[k])) {
-                chosen = order[k];
-                break;
-            }
+    // Dataflow preference: the best-metric sub-accelerator. Under
+    // faults only sub-accelerators with a finite availability point
+    // from this frame's earliest start compete; the preference order
+    // is otherwise unchanged.
+    auto usable = [&](std::size_t a) {
+        return !faulty ||
+               std::isfinite(faults.nextAvailable(
+                   a, std::max(frame.readyTime, accAvail[a])));
+    };
+    Plan plan;
+    std::size_t chosen = SIZE_MAX;
+    for (std::size_t k = 0; k < nAcc; ++k) {
+        if (usable(order[k])) {
+            chosen = order[k];
+            break;
         }
-        if (chosen == SIZE_MAX) {
-            plan.feasible = false;
-            return plan;
-        }
-        if (opts.sched.loadBalance && nAcc > 1) {
-            const double best_metric =
-                activeTable->metric(row, chosen);
-            for (std::size_t k = 0; k < nAcc; ++k) {
-                std::size_t a = order[k];
-                if (!usable(a))
-                    continue;
-                if (activeTable->metric(row, a) >
-                    best_metric * opts.sched.loadBalanceMaxDegradation)
-                    break; // remaining candidates worse still
-                double start = std::max(base_ready, accAvail[a]);
-                double frontier =
-                    start + activeTable->cost(row, a).cost.cycles;
-                double max_f = frontier;
-                double min_f = frontier;
-                for (std::size_t b = 0; b < nAcc; ++b) {
-                    if (b == a)
-                        continue;
-                    max_f = std::max(max_f, accAvail[b]);
-                    min_f = std::min(min_f, accAvail[b]);
-                }
-                if (min_f > 0.0 &&
-                    max_f <= opts.sched.loadBalanceFactor * min_f) {
-                    chosen = a;
-                    break;
-                }
-            }
-        }
-        auto try_acc = [&](std::size_t a) {
-            const accel::StyledLayerCost &sc =
-                activeTable->cost(row, a);
-            Plan p;
-            p.acc = a;
-            if (opts.sched.contextChangeCycles > 0.0 &&
-                accLastInstance[a] != SIZE_MAX &&
-                accLastInstance[a] != inst)
-                p.contextPenalty = opts.sched.contextChangeCycles;
-            if (!placeOn(a, std::max(base_ready, accAvail[a]),
-                         sc.cost.cycles, p.contextPenalty,
-                         static_cast<double>(sc.cost.l2FootprintBytes),
-                         p))
-                return false;
-            plan = p;
-            return true;
-        };
-        if (try_acc(chosen))
-            return plan;
-        for (std::size_t k = 0; k < nAcc; ++k) {
-            std::size_t a = order[k];
-            if (a == chosen || !usable(a))
-                continue;
-            if (try_acc(a))
-                return plan;
-        }
+    }
+    if (chosen == SIZE_MAX) {
         plan.feasible = false;
         return plan;
     }
 
     // Load-balancing feedback: demote overloading choices.
-    std::size_t chosen = order[0];
     if (opts.sched.loadBalance && nAcc > 1) {
-        const double best_metric = activeTable->metric(row, order[0]);
+        const double best_metric = activeTable->metric(row, chosen);
         for (std::size_t k = 0; k < nAcc; ++k) {
             std::size_t a = order[k];
+            if (!usable(a))
+                continue;
             if (activeTable->metric(row, a) >
-                best_metric * opts.sched.loadBalanceMaxDegradation) {
+                best_metric * opts.sched.loadBalanceMaxDegradation)
                 break; // remaining candidates are worse still
-            }
             double start = std::max(frame.readyTime, accAvail[a]);
             double frontier =
                 start + activeTable->cost(row, a).cost.cycles;
@@ -565,20 +592,53 @@ OnlineScheduler::planLayer(std::size_t inst) const
         }
     }
 
-    Plan plan;
-    plan.acc = chosen;
-    const accel::StyledLayerCost &sc = activeTable->cost(row, chosen);
-    plan.dur = sc.cost.cycles;
-    if (opts.sched.contextChangeCycles > 0.0 &&
-        accLastInstance[chosen] != SIZE_MAX &&
-        accLastInstance[chosen] != inst) {
-        plan.contextPenalty = opts.sched.contextChangeCycles;
-        plan.dur += plan.contextPenalty;
+    auto context_penalty = [&](std::size_t a) {
+        return opts.sched.contextChangeCycles > 0.0 &&
+                       accLastInstance[a] != SIZE_MAX &&
+                       accLastInstance[a] != inst
+                   ? opts.sched.contextChangeCycles
+                   : 0.0;
+    };
+
+    if (!faulty) {
+        // Dependence + memory constrained start time.
+        const accel::StyledLayerCost &sc =
+            activeTable->cost(row, chosen);
+        plan.acc = chosen;
+        plan.contextPenalty = context_penalty(chosen);
+        plan.dur = sc.cost.cycles + plan.contextPenalty;
+        plan.start = memory.firstFeasible(
+            std::max(frame.readyTime, accAvail[chosen]), plan.dur,
+            static_cast<double>(sc.cost.l2FootprintBytes));
+        return plan;
     }
-    double start = std::max(frame.readyTime, accAvail[chosen]);
-    plan.start = memory.firstFeasible(
-        start, plan.dur,
-        static_cast<double>(sc.cost.l2FootprintBytes));
+
+    // When placement on the chosen candidate pushes past its
+    // permanent failure, demote through the remaining usable
+    // candidates; when every candidate fails, the frame can never
+    // progress (plan.feasible = false).
+    auto try_acc = [&](std::size_t a) {
+        const accel::StyledLayerCost &sc = activeTable->cost(row, a);
+        Plan p;
+        p.acc = a;
+        p.contextPenalty = context_penalty(a);
+        if (!placeOn(a, std::max(frame.readyTime, accAvail[a]),
+                     sc.cost.cycles, p.contextPenalty,
+                     static_cast<double>(sc.cost.l2FootprintBytes), p))
+            return false;
+        plan = p;
+        return true;
+    };
+    if (try_acc(chosen))
+        return plan;
+    for (std::size_t k = 0; k < nAcc; ++k) {
+        std::size_t a = order[k];
+        if (a == chosen || !usable(a))
+            continue;
+        if (try_acc(a))
+            return plan;
+    }
+    plan.feasible = false;
     return plan;
 }
 
@@ -601,13 +661,19 @@ OnlineScheduler::selectReadyIdx() const
     return first->second;
 }
 
+// Nothing-has-arrived fallback: dispatch the nearest future arrival
+// (the policy key breaks equal-arrival ties). Exact-equal arrivals
+// (periodic streams share harmonics) take the closed-form rotated
+// winner; only sub-epsilon near-ties — floating-point pathology, not a
+// real schedule shape — take the reference implementation's
+// epsilon-tolerant scan.
 std::size_t
 OnlineScheduler::selectFutureIdx(bool &stall) const
 {
     stall = false;
     const std::size_t total = totalFrames();
     std::size_t scan = cursor;
-    while (scan < total && !pending(frameAt(scan)))
+    while (scan < total && !pending(frameAt(idAt(scan))))
         ++scan;
     if (scan == total) {
         // No queued pending frame. Before drain that only means
@@ -617,26 +683,29 @@ OnlineScheduler::selectFutureIdx(bool &stall) const
             stall = true;
         return SIZE_MAX;
     }
-    const double m = frameAt(scan).arrival;
+    const double m = frameAt(idAt(scan)).arrival;
 
     // Exact-equal arrival band plus the epsilon-chained component it
-    // heads. The offline fallback scans *all* pending futures, but
-    // its winner provably lies inside (and depends only on) this
+    // heads. The reference scan visits *all* pending futures, but its
+    // winner provably lies inside (and depends only on) this
     // component: any frame past a > kEps arrival gap can never
     // displace a component member under the scan's tolerance rule.
     // Bounding the walk here is what makes the step incremental.
+    // Equal arrivals sit in id order (streams submit in order, the
+    // batch path sorts stably), so `run` ascends by id.
     std::vector<std::size_t> run;  // arrival == m exactly
     std::vector<std::size_t> comp; // epsilon-chained component
     bool near_tie = false;
     bool tie_known = false;
     double chain_end = m;
     for (std::size_t j = scan; j < total; ++j) {
-        const Frame &f = frameAt(j);
+        const std::size_t id = idAt(j);
+        const Frame &f = frameAt(id);
         if (!pending(f))
             continue;
         if (f.arrival == m) {
-            run.push_back(j);
-            comp.push_back(j);
+            run.push_back(id);
+            comp.push_back(id);
             continue;
         }
         if (!tie_known) {
@@ -644,7 +713,7 @@ OnlineScheduler::selectFutureIdx(bool &stall) const
             tie_known = true;
         }
         if (f.arrival <= chain_end + kEps) {
-            comp.push_back(j);
+            comp.push_back(id);
             chain_end = f.arrival;
         } else {
             break;
@@ -662,7 +731,8 @@ OnlineScheduler::selectFutureIdx(bool &stall) const
 
     if (near_tie) {
         // Reference epsilon-tolerant scan, restricted to the
-        // component, rotated at the round-robin cursor.
+        // component, in id order rotated at the round-robin cursor.
+        std::sort(comp.begin(), comp.end());
         std::size_t inst = SIZE_MAX;
         double best_arrival = workload::kNoDeadline;
         double best_key = workload::kNoDeadline;
@@ -691,7 +761,8 @@ OnlineScheduler::selectFutureIdx(bool &stall) const
     }
 
     // Rotated visit order over the ascending run; keep the lowest
-    // key, first seen wins ties (SelectionPolicy::selectFromRun).
+    // key, first seen wins ties — for constant-key FIFO that is
+    // run[start_pos], pure base order.
     std::size_t start_pos = 0;
     if (breadth) {
         start_pos = static_cast<std::size_t>(
@@ -718,10 +789,11 @@ OnlineScheduler::urgentExists(double end, double threshold) const
 {
     const std::size_t total = totalFrames();
     for (std::size_t j = cursor; j < total; ++j) {
-        const Frame &f = frameAt(j);
+        const std::size_t id = idAt(j);
+        const Frame &f = frameAt(id);
         if (f.arrival >= end - kEps)
             break;
-        if (pending(f) && keyOf(j) < threshold)
+        if (pending(f) && keyOf(id) < threshold)
             return true;
     }
     return false;
@@ -735,6 +807,10 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
     const std::size_t row = f.rowBase + layer_idx;
     const accel::StyledLayerCost &sc =
         activeTable->cost(row, plan.acc);
+    // A plan whose duration crosses the next fault onset is committed
+    // as a fault-killed partial execution: it occupies the
+    // sub-accelerator (and buffer) up to the onset exactly, performs
+    // zero useful work, and the frame's chain retries from the onset.
     const bool killed =
         faulty && plan.killAt < plan.start + plan.dur - kEps;
     memory.add(plan.start,
@@ -777,8 +853,13 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
     grant = inst;
 
     if (pending(f)) {
+        // Progress re-keys LST (slack relaxes as layers retire); a
+        // kill makes no progress, so the key is unchanged.
         if (!killed && policyKind == Policy::Lst)
-            readyRekey(inst); // LstPolicy::onLayerScheduled
+            readyRekey(inst);
+        // Progress also moved the frame's ready time: re-test it
+        // directly (the shared floor sweep below cannot see a ready
+        // time that outruns the floor), else re-key its doom entry.
         if (doomDrop && f.inDoom) {
             if (doomedNow(inst, minAvail())) {
                 dropLive(inst);
@@ -799,6 +880,9 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
     }
     releaseUpTo(releaseFrontier);
 
+    // Doomed-frame sweep: the floor only ever advances, and every
+    // live frame whose (deadline - remaining) key fell behind it can
+    // no longer finish in time under any continuation.
     if (doomDrop) {
         const double floor = minAvail();
         if (runView)
@@ -821,10 +905,11 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
         maintenance();
 }
 
-// Port of the offline maybe_reconfigure lambda (herald_scheduler.cc)
-// — evaluated at most once per committed layer, so migrations are
-// separated by at least one unit of real progress and the stream
-// cannot livelock on back-to-back reconfigurations.
+// Elastic repartitioning hook — evaluated at most once per committed
+// layer, so migrations are separated by at least one unit of real
+// progress and the loop cannot livelock on back-to-back
+// reconfigurations. The decision reads only committed state (the
+// sub-accelerator frontiers and the PE split).
 void
 OnlineScheduler::maybeReconfigure()
 {
@@ -835,6 +920,9 @@ OnlineScheduler::maybeReconfigure()
     const accel::Accelerator &cur = epochAcc ? *epochAcc : *baseAcc;
     const accel::PartitionEpoch epoch =
         planMigrationEpoch(cur, d, nextEpochId++);
+    // The migration is a short planned outage on donor and receiver:
+    // both drain to their committed frontiers, then rewire for the
+    // modeled penalty.
     const double window_start =
         std::max(accAvail[d.donor], accAvail[d.receiver]);
     const double window_end =
@@ -843,10 +931,12 @@ OnlineScheduler::maybeReconfigure()
         std::make_unique<accel::Accelerator>(cur.withPartition(epoch));
     peSplit = epoch.peSplit;
 
+    // Swap in the new epoch's costs: only the donor and receiver
+    // columns are re-prefilled; every other column is reused verbatim.
     if (!epochTable)
-        epochTable = std::make_unique<LayerCostTable>(table);
+        epochTable = std::make_unique<LayerCostTable>(*table);
     epochTable->rebuildColumns(
-        *reconfigCostModel, templateWl, *epochAcc, opts.sched.metric,
+        *reconfigCostModel, *specWl, *epochAcc, opts.sched.metric,
         opts.sched.rdaOverheads,
         {std::min(d.donor, d.receiver),
          std::max(d.donor, d.receiver)},
@@ -855,8 +945,7 @@ OnlineScheduler::maybeReconfigure()
 
     // The run-time feasibility proofs read remaining-work bounds off
     // the active table — rebuild them against the new epoch. The
-    // admission view stays frozen on the pristine table, exactly
-    // like the offline pre-pass.
+    // admission view stays frozen on the pristine table.
     if (runView) {
         runView = std::make_unique<LayerCostTable::DegradedView>(
             *activeTable);
@@ -903,7 +992,7 @@ OnlineScheduler::tryStep()
             return false;
         // Deferred reconfig evaluation (see reconfigPending): runs
         // before the next selection, on exactly the committed state
-        // the offline hook saw right after the matching commit.
+        // the matching commit left behind.
         if (reconfigPending) {
             reconfigPending = false;
             maybeReconfigure();
@@ -935,6 +1024,15 @@ OnlineScheduler::tryStep()
             selInst = SIZE_MAX;
             continue;
         }
+        // Preemption point (Preemption::AtLayerBoundary): when the
+        // planned layer would span the arrival of a strictly more
+        // urgent frame (the hysteresis band protects the grant holder
+        // here too), release everything arriving inside the planned
+        // window and re-select — the urgent frame can claim the
+        // sub-accelerator at its arrival instead of queueing behind a
+        // commit that has not happened yet. Each round releases at
+        // least one frame, so the loop terminates. A killed layer
+        // ends at the fault onset, so that is the window tested.
         if (preempt) {
             const double end =
                 std::min(plan.start + plan.dur, plan.killAt);
@@ -988,7 +1086,7 @@ OnlineScheduler::maintenance()
         // Audit history as it is forgotten: a violation here means
         // the rolling counters would silently absorb a corrupt
         // schedule, so fail loudly instead.
-        if (e.instanceIdx < winBase)
+        if (e.instanceIdx < winFront)
             util::panic("online watchdog: retired entry references "
                         "an already-popped frame ", e.instanceIdx);
         const Frame &f = frameAt(e.instanceIdx);
@@ -1025,14 +1123,19 @@ OnlineScheduler::maintenance()
     // admission drops during a commit-free stretch never get
     // released — but releasing a finished frame is a no-op, so the
     // cursor and the horizon scan just fast-forward past the popped
-    // prefix instead of indexing below the window base.
-    while (!win.empty() && win.front().finished &&
-           win.front().lastEnd <= floor) {
-        win.pop_front();
-        ++winBase;
+    // prefix instead of indexing below the window front.
+    const std::size_t total = totalFrames();
+    while (winFront < total && frameAt(winFront).finished &&
+           frameAt(winFront).lastEnd <= floor)
+        ++winFront;
+    const std::size_t popped = winFront - winBase;
+    if (2 * popped >= win.size()) {
+        win.erase(win.begin(),
+                  win.begin() + static_cast<std::ptrdiff_t>(popped));
+        winBase = winFront;
     }
-    cursor = std::max(cursor, winBase);
-    liveScan = std::max(liveScan, winBase);
+    cursor = std::max(cursor, winFront);
+    liveScan = std::max(liveScan, winFront);
 }
 
 // ------------------------------------------------------------------
@@ -1103,29 +1206,53 @@ OnlineScheduler::submit(std::size_t model_idx, double arrival_cycle,
         }
     }
 
-    // --- Admission ---
+    const SubmitResult result =
+        admit(model_idx, arrival_cycle, deadline_cycle);
+    releaseUpTo(releaseFrontier); // a dropped frame: sweep past it
+    pump();
+    // Admission drops commit nothing, so they must count toward
+    // maintenance themselves: a flood of hopeless frames would
+    // otherwise grow the window without ever popping it.
+    if (result == SubmitResult::Dropped &&
+        ++commitsSinceMaintenance >= opts.maintenancePeriod)
+        maintenance();
+    return result;
+}
+
+SubmitResult
+OnlineScheduler::admit(std::size_t model_idx, double arrival_cycle,
+                       double deadline_cycle)
+{
+    OnlineModelStats &ms = modelStats[model_idx];
+    const bool has_deadline =
+        deadline_cycle != workload::kNoDeadline;
     const std::size_t idx = totalFrames();
     Frame f;
     f.modelIdx = model_idx;
     f.uid = uidOf[model_idx];
     f.rowBase = rowBaseOf[model_idx];
     f.arrival = arrival_cycle;
-    f.deadline = has_deadline ? deadline_cycle
-                              : workload::kNoDeadline;
+    f.deadline = deadline_cycle;
     f.numLayers = layersOf[model_idx];
     f.readyTime = arrival_cycle;
     ++ms.admitted;
     if (has_deadline)
         ++ms.framesWithDeadline;
 
-    // Hopeless-frame admission proof (herald_scheduler.cc pre-pass),
-    // against the dead-at-cycle-0 degraded view — mid-run failures
-    // are doom-sweep business, not admission business.
+    // Over-subscription admission control: a frame whose deadline
+    // cannot be met even by running every layer back to back on its
+    // best sub-accelerator starting at arrival is provably hopeless
+    // under *any* schedule (starts cannot precede the arrival, the
+    // chain is serial, each layer needs at least its best-case
+    // cycles) — shed it up front instead of letting it steal cycles
+    // from frames that can still make their deadlines. The proof
+    // reads the dead-at-cycle-0 admission view: mid-run failures are
+    // doom-sweep business, not admission business.
     bool hopeless = false;
     if (dropAny && has_deadline) {
         const double optimistic =
             admissionView ? admissionView->remainingCycles(f.uid, 0)
-                          : table.remainingCycles(f.uid, 0);
+                          : table->remainingCycles(f.uid, 0);
         hopeless =
             f.deadline - f.arrival - optimistic < -kEps;
     }
@@ -1140,22 +1267,50 @@ OnlineScheduler::submit(std::size_t model_idx, double arrival_cycle,
         ++ms.deadlineMisses;
         ++latInfCount;
         maxLatency = workload::kNoDeadline;
-        releaseUpTo(releaseFrontier); // sweep the cursor past it
-        pump();
-        // Admission drops commit nothing, so they must count toward
-        // maintenance themselves: a flood of hopeless frames would
-        // otherwise grow the window without ever popping it.
-        if (++commitsSinceMaintenance >= opts.maintenancePeriod)
-            maintenance();
         return SubmitResult::Dropped;
     }
 
     win.push_back(f);
     ++liveFrames;
     liveRemaining += f.numLayers;
-    releaseUpTo(releaseFrontier);
-    pump();
     return SubmitResult::Accepted;
+}
+
+Schedule
+OnlineScheduler::scheduleWorkload()
+{
+    if (specWl == &templateWl)
+        util::fatal("online scheduler: scheduleWorkload() needs an "
+                    "engine bound to a workload");
+    if (!opts.retainSchedule)
+        util::fatal("online scheduler: scheduleWorkload() requires "
+                    "retainSchedule");
+    if (totalFrames() != 0 || draining)
+        util::fatal("online scheduler: scheduleWorkload() needs a "
+                    "fresh engine");
+
+    const workload::Workload &wl = *specWl;
+    const std::vector<workload::Instance> &instances = wl.instances();
+    win.reserve(instances.size());
+    sched.reserve(wl.totalLayers());
+    memory.reserve(wl.totalLayers());
+    // Frame id = instance index: workload order is the base-order
+    // tie-break, and it need not be arrival order (addModel appends
+    // a model's frames as one block).
+    for (const workload::Instance &inst : instances) {
+        ++modelStats[inst.specIdx].submitted;
+        admit(inst.specIdx, inst.arrivalCycle, inst.deadlineCycle);
+    }
+    arrivalOrder.resize(instances.size());
+    std::iota(arrivalOrder.begin(), arrivalOrder.end(), 0);
+    std::stable_sort(arrivalOrder.begin(), arrivalOrder.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return instances[a].arrivalCycle <
+                                instances[b].arrivalCycle;
+                     });
+    releaseUpTo(releaseFrontier);
+    drain();
+    return std::move(sched);
 }
 
 void
@@ -1233,7 +1388,7 @@ OnlineScheduler::stats() const
     s.p99LatencyCycles = latencyPercentile(0.99);
     s.p999LatencyCycles = latencyPercentile(0.999);
     s.maxLatencyCycles = maxLatency;
-    s.windowFrames = win.size();
+    s.windowFrames = totalFrames() - winFront;
     s.readyFrames = ready.size();
     s.liveEntries = sched.entries().size();
     s.liveIntervals = memory.liveIntervals();

@@ -1,22 +1,29 @@
 /**
  * @file
- * Online serving engine: overload-safe incremental scheduling over an
- * unbounded frame stream with bounded memory.
+ * Herald's dispatch engine: overload-safe incremental scheduling over
+ * an unbounded frame stream with bounded memory, and — in batch mode —
+ * the offline scheduler too.
  *
- * HeraldScheduler::schedule() is an offline batch oracle — it needs
- * every frame up front and keeps the whole schedule alive. A serving
- * scenario has neither luxury: frames arrive forever, and a
- * million-frame soak must run in flat memory. OnlineScheduler is the
- * same dispatch loop re-cut as an incremental state machine:
+ * This is the one implementation of the event-driven dispatch loop
+ * (instance release, policy selection, load-balanced placement,
+ * drop/preemption/fault/reconfig hooks at the layer boundary).
+ * HeraldScheduler::schedule() is a thin front end over it: bind the
+ * engine to the workload and a prebuilt LayerCostTable, run
+ * scheduleWorkload(), then post-process the retained schedule. A
+ * serving scenario drives the same loop one frame at a time:
  *
  * - submit() admits one frame (nondecreasing arrivals) and advances
  *   the scheduler as far as the *watermark* — the latest submitted
- *   arrival — provably allows. Every dispatch decision of the offline
- *   loop depends on future arrivals only through sharp, checkable
- *   gates (release frontier, arrival tie bands, preemption windows);
- *   the online loop pauses at a gate the watermark has not passed and
- *   resumes when it has. drain() declares the stream over (watermark
- *   = +infinity) and runs the loop dry.
+ *   arrival — provably allows. Every dispatch decision depends on
+ *   future arrivals only through sharp, checkable gates (release
+ *   frontier, arrival tie bands, preemption windows); the loop pauses
+ *   at a gate the watermark has not passed and resumes when it has.
+ *   drain() declares the stream over (watermark = +infinity) and runs
+ *   the loop dry.
+ * - scheduleWorkload() is the batch path: every instance of a finite
+ *   workload is admitted up front, keyed by its instance index (the
+ *   base-order tie-break, which need not be arrival order), and the
+ *   loop runs with every gate open.
  * - Committed history is retired incrementally: once the *retirement
  *   floor* — the earliest cycle any usable sub-accelerator frees up —
  *   passes an entry's end, the entry can never influence another
@@ -27,25 +34,27 @@
  * - Overload is handled by deterministic backpressure at admission
  *   (reject when too many frames are live or the arrival span exceeds
  *   the horizon) on top of the drop policies' hopeless/doomed
- *   shedding, which are re-proved incrementally with the exact
- *   offline rules.
+ *   shedding, which are re-proved incrementally with the same
+ *   proofs the batch path runs.
  * - An internal watchdog audits every retirement batch (monotone
  *   floor, per-sub-accelerator non-overlap, arrival causality, fault
  *   consistency, bounded ready set) and panics on the first
  *   violation instead of silently corrupting rolling counters.
  *
- * Equivalence guarantee (asserted by tests/test_online.cc): on any
- * finite workload, submitting every frame in arrival order and
- * draining yields — in retainSchedule mode — a Schedule bit-identical
- * to HeraldScheduler's on the materialized workload, across the full
- * policy x drop x preemption x fault grid (post-processing excluded:
- * idle-time elimination is offline-only by nature).
+ * Equivalence guarantees: on any finite workload, submitting every
+ * frame in arrival order and draining yields — in retainSchedule
+ * mode — a Schedule bit-identical to the batch path's on the
+ * materialized workload, across the full policy x drop x preemption x
+ * fault grid (tests/test_online.cc: the watermark gates never decide
+ * differently than full knowledge would). The batch path in turn is
+ * bit-identical to the independent sched::referenceSchedule() oracle
+ * (tests/test_sched_equivalence.cc). Post-processing is excluded from
+ * both: idle-time elimination is offline-only by nature.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <set>
@@ -102,11 +111,11 @@ struct OnlineOptions
     /**
      * Keep the full Schedule (and per-frame drop marks) instead of
      * retiring history — memory grows with the stream, but schedule()
-     * / validate() / computeSla() work. For equivalence tests and
-     * short diagnostic runs, not for serving. Required when
-     * sched.reconfig is enabled: reconfiguration events are recorded
-     * on the Schedule and the bit-identity contract against the
-     * offline scheduler is meaningless with history retired.
+     * / validate() / computeSla() work. For the batch path,
+     * equivalence tests and short diagnostic runs, not for serving.
+     * Required when sched.reconfig is enabled: reconfiguration events
+     * are recorded on the Schedule and the bit-identity contract
+     * against the batch path is meaningless with history retired.
      */
     bool retainSchedule = false;
 
@@ -196,6 +205,20 @@ class OnlineScheduler
                     OnlineOptions options = OnlineOptions{});
 
     /**
+     * Bind the engine to the specs of @p wl (model index = spec
+     * index) and a prebuilt @p table, which must have been built for
+     * this @p wl / @p acc pair with the options' metric and RDA
+     * overheads. Both are borrowed and must outlive the engine. This
+     * is how the offline scheduler and the DSE reuse one table per
+     * candidate instead of building it per engine.
+     */
+    OnlineScheduler(cost::CostModel &cost_model,
+                    const workload::Workload &wl,
+                    const accel::Accelerator &acc,
+                    const LayerCostTable &table,
+                    OnlineOptions options = OnlineOptions{});
+
+    /**
      * Submit one frame of @p model_idx arriving at @p arrival_cycle
      * with absolute deadline @p deadline_cycle (workload::kNoDeadline
      * for none). Arrivals must be nondecreasing across submissions —
@@ -222,20 +245,36 @@ class OnlineScheduler
      */
     void drain();
 
+    /**
+     * Batch mode (the offline scheduler): admit every instance of the
+     * workload bound by the workload constructor at once — frame id =
+     * instance index, so every base-order tie-break follows workload
+     * order — drain, and move the schedule out. Requires
+     * retainSchedule and a fresh engine; the engine is spent
+     * afterwards. Backpressure does not apply: an offline workload is
+     * admitted whole.
+     */
+    Schedule scheduleWorkload();
+
     /** Rolling counters; callable at any point in the stream. */
     OnlineStats stats() const;
 
     /**
      * The full schedule (retainSchedule mode only — fatal otherwise):
-     * bit-identical to the offline HeraldScheduler's on the
-     * materialized workload once drained.
+     * bit-identical to the batch path's on the materialized workload
+     * once drained.
      */
     const Schedule &schedule() const;
 
     const OnlineOptions &options() const { return opts; }
 
   private:
-    /** Per-frame live state (sliding window, global index order). */
+    /**
+     * Per-frame live state. The sliding window is indexed by frame id
+     * (submission index when streaming, instance index in batch
+     * mode); ids are also the base-order tie-break of every ordered
+     * set below.
+     */
     struct Frame
     {
         std::size_t modelIdx = 0;
@@ -256,28 +295,41 @@ class OnlineScheduler
         bool finished = false; //!< completed or dropped
     };
 
-    /** Tentative layer plan (mirrors the offline dispatch loop). */
+    /**
+     * Tentative layer plan: everything a commit needs, computed
+     * without mutating any state, so preemption points can re-plan
+     * after releasing an urgent arrival.
+     */
     struct Plan
     {
         std::size_t acc = 0;
         double start = 0.0;
-        double dur = 0.0;
+        double dur = 0.0; //!< includes the context penalty
         double contextPenalty = 0.0;
+        /** False: every candidate placement lands past a permanent
+         *  failure — the frame can never progress and is shed. */
         bool feasible = true;
+        /** Next fault onset strictly after start (kNeverCycle when
+         *  none): a commit crossing it becomes a fault-killed partial
+         *  execution ending exactly there. */
         double killAt = kNeverCycle;
     };
 
     // --- Configuration (fixed at construction) ---
     OnlineOptions opts;
     workload::Workload templateWl; //!< one instance per model
-    LayerCostTable table;
+    LayerCostTable ownTable;       //!< built by the streaming ctor
+    /** Spec source: templateWl, or the caller's bound workload. */
+    const workload::Workload *specWl = nullptr;
+    /** The pristine table: ownTable, or the caller's prebuilt one. */
+    const LayerCostTable *table = nullptr;
     /**
      * The table the dispatch path reads. Points at `table` until the
      * first migration, then at `epochTable` (a copy with only the
      * affected columns re-prefilled) — so Reconfig::Off takes exactly
-     * the historical reads. LstPolicy keys and the admission proof
-     * deliberately stay on the pristine `table` (see
-     * herald_scheduler.cc).
+     * the historical reads. LST keys and the admission proof read the
+     * pristine `table` for the whole run, migrations or not (the
+     * semantics the equivalence suites pin).
      */
     const LayerCostTable *activeTable = nullptr;
     std::size_t nAcc = 0;
@@ -293,12 +345,14 @@ class OnlineScheduler
     bool faulty = false;
     Policy policyKind = Policy::Fifo;
 
-    // Degraded-capacity views (see herald_scheduler.cc). The
-    // admission view is frozen at the dead-at-cycle-0 mask — the
-    // offline pre-pass runs before any mid-run failure is folded in,
-    // and admissions happen throughout the online run, so they must
-    // not see later refreshes. The run view evolves with the
-    // availability floor and backs the doom re-proofs.
+    // Degraded-capacity views for the drop-policy feasibility proofs:
+    // the pristine table's optimistic remaining work assumes the best
+    // sub-accelerator is alive. The admission view masks only columns
+    // dead from cycle 0 (sound for every arrival) and is frozen —
+    // admissions happen throughout the run and must not see later
+    // refreshes. The run view folds in permanent failures as the
+    // availability floor passes their onsets and backs the doom
+    // re-proofs.
     std::unique_ptr<LayerCostTable::DegradedView> admissionView;
     std::unique_ptr<LayerCostTable::DegradedView> runView;
     std::vector<char> deadMask;
@@ -318,29 +372,41 @@ class OnlineScheduler
     std::vector<std::uint64_t> peSplit;
     std::uint64_t nextEpochId = 0;
     /**
-     * Set by commit(), consumed by the next tryStep(): the offline
-     * loop evaluates the reconfig hook right after every commit, but
-     * gated on work remaining in the *whole* workload — which the
-     * online engine cannot know mid-stream. Deferring the evaluation
-     * to the next step (which only runs with live work) replays the
-     * identical evaluation sequence: nothing between an offline
+     * Set by commit(), consumed by the next tryStep(): the reconfig
+     * hook runs once per committed layer, but only while work remains
+     * — an outage with nothing left to run would only stretch the
+     * makespan — and mid-stream "work remains" is only known at the
+     * next step (which runs only with live work). Nothing between a
      * commit and the next selection touches the state the policy
-     * reads (committed frontiers and the PE split).
+     * reads (committed frontiers and the PE split), so the deferral
+     * changes no decision.
      */
     bool reconfigPending = false;
 
-    // --- Sliding frame window ---
-    std::deque<Frame> win;
-    std::size_t winBase = 0; //!< global index of win.front()
+    // --- Sliding frame window (indexed by frame id) ---
+    // A vector, not a deque: frameAt() is on every dispatch path and
+    // a deque's two-level indexing measurably slows dispatch. Retired
+    // frames are popped logically (winFront) and erased in bulk once
+    // they make up half the storage, so each frame is moved at most
+    // once on average.
+    std::vector<Frame> win;
+    std::size_t winBase = 0;  //!< frame id of win[0]
+    std::size_t winFront = 0; //!< oldest frame id not yet popped
+    /**
+     * Batch mode only: frame ids in (arrival, id) order — the order
+     * the release cursor walks. Empty when streaming, where
+     * submissions arrive in order and rank == id.
+     */
+    std::vector<std::size_t> arrivalOrder;
 
-    // --- Dispatch-loop state (ports of the offline locals) ---
+    // --- Dispatch-loop state ---
     MemoryTracker memory;
     Schedule sched;
     std::vector<double> accAvail;
-    std::vector<std::size_t> accLastInstance; //!< global frame idx
-    std::set<std::pair<double, std::size_t>> ready;
-    std::set<std::pair<double, std::size_t>> doomSet;
-    std::size_t cursor = 0; //!< global idx of first unreleased frame
+    std::vector<std::size_t> accLastInstance; //!< frame id
+    std::set<std::pair<double, std::size_t>> ready;   //!< (key, id)
+    std::set<std::pair<double, std::size_t>> doomSet; //!< (key, id)
+    std::size_t cursor = 0; //!< arrival rank of first unreleased frame
     std::size_t rotate = 0; //!< breadth-first cursor (never wrapped)
     std::size_t grant = SIZE_MAX;   //!< hysteresis grant holder
     std::size_t selInst = SIZE_MAX; //!< resumable selection state
@@ -368,10 +434,24 @@ class OnlineScheduler
     std::uint64_t latInfCount = 0;      //!< dropped frames
     double maxLatency = 0.0;
 
+    // --- Setup ---
+    void bind(cost::CostModel &cost_model,
+              const workload::Workload &spec_wl,
+              const LayerCostTable &base_table,
+              const accel::Accelerator &acc);
+    SubmitResult admit(std::size_t model_idx, double arrival_cycle,
+                       double deadline_cycle);
+
     // --- Window / policy helpers ---
     Frame &frameAt(std::size_t idx);
     const Frame &frameAt(std::size_t idx) const;
     std::size_t totalFrames() const { return winBase + win.size(); }
+    /** Frame id of arrival rank @p rank (see arrivalOrder). */
+    std::size_t
+    idAt(std::size_t rank) const
+    {
+        return arrivalOrder.empty() ? rank : arrivalOrder[rank];
+    }
     bool pending(const Frame &f) const;
     bool isReadyMember(std::size_t idx) const;
     double keyOf(std::size_t idx) const;
@@ -379,7 +459,7 @@ class OnlineScheduler
     void readyRetire(std::size_t idx);
     void readyRekey(std::size_t idx);
 
-    // --- Dispatch-loop helpers (offline ports) ---
+    // --- Dispatch-loop helpers ---
     double remCyclesRun(std::size_t uid, std::size_t layer) const;
     double minAvail() const;
     double retirementFloor() const;

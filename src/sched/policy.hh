@@ -1,42 +1,29 @@
 /**
  * @file
- * Pluggable instance-selection policies for the scheduler.
+ * Instance-selection and drop policies of the dispatch engine.
  *
  * The dispatch loop repeatedly asks "which released instance's next
  * layer do I place now?". That choice — FIFO order, earliest absolute
  * deadline (EDF), or least slack (LST) — is the whole difference
- * between the real-time policies, so it lives behind one interface:
+ * between the real-time policies, and each reduces to a *priority
+ * key* per instance: lower dispatches first, ties break on the base
+ * order (instance index, rotated under breadth-first ordering).
+ * FIFO's key is a constant (the base order decides), EDF's is the
+ * absolute deadline, LST's is deadline minus optimistic remaining
+ * work — re-keyed as the instance's layers retire. The engine
+ * (sched/online_scheduler.hh) keeps released instances in a
+ * (key, index)-ordered set, so selection is O(log n).
  *
- * - every policy reduces to a *priority key* per instance (lower
- *   dispatches first, ties break on instance index);
- * - the shared machinery in SelectionPolicy keeps released instances
- *   in a (key, index)-ordered set so selection is O(log n), exactly
- *   mirroring the event-driven loop the policies were extracted from;
- * - FIFO's key is a constant (index order decides), EDF's is the
- *   absolute deadline, LST's is deadline minus optimistic remaining
- *   work (see LstPolicy) — re-keyed as the instance's layers retire.
- *
- * FIFO and EDF through this interface are bit-identical to
- * sched::referenceSchedule() (asserted by test_sched_equivalence);
- * LST is covered by property tests instead (validity, no-op on
- * deadline-free workloads, misses <= EDF on the over-subscribed
- * factory scenarios).
+ * FIFO and EDF are bit-identical to sched::referenceSchedule()
+ * (asserted by test_sched_equivalence); LST is covered by property
+ * tests instead (validity, no-op on deadline-free workloads, misses
+ * <= EDF on the over-subscribed factory scenarios).
  */
 
 #pragma once
 
-#include <cstddef>
-#include <memory>
-#include <set>
-#include <utility>
-#include <vector>
-
-#include "workload/workload.hh"
-
 namespace herald::sched
 {
-
-class LayerCostTable;
 
 /** Instance-selection policy of the dispatch loop. */
 enum class Policy
@@ -82,136 +69,6 @@ enum class DropPolicy
 
 const char *toString(Policy policy);
 const char *toString(DropPolicy drop);
-
-/**
- * One instance-selection policy instance, bound to a single
- * schedule() run. Concrete policies supply the priority key; the base
- * class owns the (key, index)-ordered ready set and the tie-break
- * rules shared by every policy.
- */
-class SelectionPolicy
-{
-  public:
-    virtual ~SelectionPolicy() = default;
-
-    /**
-     * Priority key of instance @p idx under this policy; lower keys
-     * dispatch first, equal keys fall back to the base ordering.
-     * Also used as the urgency tie-break among (near-)equal arrivals
-     * in the nothing-has-arrived fallback.
-     */
-    virtual double keyOf(std::size_t idx) const = 0;
-
-    /**
-     * Notification that a layer of @p idx was scheduled and the
-     * instance still has pending layers. Policies whose key depends
-     * on progress (LST) re-key the ready set here; the default keeps
-     * the insertion key.
-     */
-    virtual void onLayerScheduled(std::size_t idx);
-
-    /** Insert released instance @p idx into the ready set. */
-    void release(std::size_t idx);
-
-    /** Remove @p idx (exhausted); no-op when never released. */
-    void retire(std::size_t idx);
-
-    /**
-     * Pick from the ready set: the lowest key, with the base order
-     * breaking ties — under breadth-first ordering the round-robin
-     * @p rotate cursor picks the first tied instance at or after it.
-     * Returns SIZE_MAX when the set is empty.
-     *
-     * Hysteresis (ROADMAP follow-up (a)): when @p grant is a ready
-     * instance and @p hysteresis_band > 0, the granted instance is
-     * kept unless some competitor's key undercuts the grant's
-     * current key by more than the band — least-slack dispatch
-     * re-keys per retired layer, and without the band many live
-     * frames with near-equal slack degenerate into processor
-     * sharing (one layer each, round and round), paying a context
-     * change at every switch. Pass grant = SIZE_MAX (or band = 0)
-     * for the exact historical selection.
-     */
-    std::size_t selectReady(bool breadth, std::size_t rotate,
-                            std::size_t grant = SIZE_MAX,
-                            double hysteresis_band = 0.0) const;
-
-    /**
-     * Tie-break an exact-equal arrival band of the nothing-arrived
-     * fallback: visit @p run (ascending instance index) rotated to
-     * start at @p start_pos and keep the strictly lowest key, first
-     * seen wins ties — for constant-key FIFO this returns
-     * run[start_pos], i.e. pure base order.
-     */
-    std::size_t selectFromRun(const std::vector<std::size_t> &run,
-                              std::size_t start_pos) const;
-
-  protected:
-    explicit SelectionPolicy(std::size_t n_instances);
-
-    /** Refresh @p idx's ready-set key after keyOf changed. */
-    void rekey(std::size_t idx);
-
-  private:
-    std::set<std::pair<double, std::size_t>> ready;
-    std::vector<double> currentKey; //!< key at (re)insertion
-    std::vector<char> member;       //!< in the ready set now
-};
-
-/** FIFO: constant key, the base ordering decides everything. */
-class FifoPolicy final : public SelectionPolicy
-{
-  public:
-    explicit FifoPolicy(const workload::Workload &wl);
-    double keyOf(std::size_t idx) const override;
-};
-
-/** EDF: key = absolute deadline (kNoDeadline when none). */
-class EdfPolicy final : public SelectionPolicy
-{
-  public:
-    explicit EdfPolicy(const workload::Workload &wl);
-    double keyOf(std::size_t idx) const override;
-
-  private:
-    const std::vector<workload::Instance> &instances;
-};
-
-/**
- * LST: key = deadline - optimistic remaining work, i.e. the frame's
- * slack up to a shared "now" term that cancels out of every
- * comparison. Remaining work is the LayerCostTable's best-sub-acc
- * (minimum-cycle) suffix sum from the instance's next pending layer,
- * so the key tightens as a frame falls behind and relaxes as its
- * layers retire — re-keyed via onLayerScheduled. Deadline-free
- * instances key to +infinity, which makes LST an exact no-op
- * (bit-identical to FIFO) on deadline-free workloads.
- */
-class LstPolicy final : public SelectionPolicy
-{
-  public:
-    LstPolicy(const workload::Workload &wl,
-              const LayerCostTable &table,
-              const std::vector<std::size_t> &next_layer);
-    double keyOf(std::size_t idx) const override;
-    void onLayerScheduled(std::size_t idx) override;
-
-  private:
-    const std::vector<workload::Instance> &instances;
-    const LayerCostTable &table;
-    const std::vector<std::size_t> &nextLayer;
-    std::vector<std::size_t> uidOf; //!< unique-model id per instance
-};
-
-/**
- * Build the policy for one schedule() run. @p next_layer is the
- * scheduler's per-instance progress vector (LST reads it through the
- * run; FIFO/EDF ignore it).
- */
-std::unique_ptr<SelectionPolicy>
-makeSelectionPolicy(Policy policy, const workload::Workload &wl,
-                    const LayerCostTable &table,
-                    const std::vector<std::size_t> &next_layer);
 
 } // namespace herald::sched
 

@@ -241,7 +241,7 @@ referenceSchedule(cost::CostModel &model,
     // FIFO/EDF pair the production scheduler must stay bit-identical
     // to, and nothing else. LST and drop policies are property-tested
     // against invariants instead of against this reference.
-    if (opts.effectivePolicy() == Policy::Lst)
+    if (opts.policy == Policy::Lst)
         util::panic("referenceSchedule: LST is not implemented by "
                     "the reference oracle");
     if (opts.dropPolicy != DropPolicy::None)
@@ -259,7 +259,7 @@ referenceSchedule(cost::CostModel &model,
     if (opts.reconfig.enabled())
         util::panic("referenceSchedule: elastic repartitioning is "
                     "not implemented by the reference oracle");
-    const bool deadline_aware = opts.effectivePolicy() == Policy::Edf;
+    const bool deadline_aware = opts.policy == Policy::Edf;
 
     const std::size_t n_inst = wl.numInstances();
     const std::size_t n_acc = acc.numSubAccs();

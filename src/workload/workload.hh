@@ -11,7 +11,7 @@
  * arrivals and deadlines: a periodic model ("MobileNetV2 @ 60 FPS for
  * K frames") expands into one instance per frame with staggered
  * arrival cycles and per-frame absolute deadlines, which the
- * scheduler (sched::SchedulerOptions::deadlineAware) and the SLA
+ * scheduler (sched::SchedulerOptions::policy) and the SLA
  * metrics (sched::SlaStats) consume.
  */
 

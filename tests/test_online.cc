@@ -1,8 +1,9 @@
 /**
  * @file
- * Online serving engine tests: bit-identical equivalence of
- * OnlineScheduler against the offline HeraldScheduler oracle across
- * the policy x drop x preemption x fault grid, deterministic
+ * Dispatch engine tests: bit-identical equivalence of streaming
+ * submission against the batch path (HeraldScheduler) across the
+ * policy x drop x preemption x fault grid, the batch API's contract,
+ * deterministic
  * backpressure, retain-vs-retire stats equality, lazy arrival
  * streams, option validation, and a seeded chaos soak that must run
  * watchdog-clean.
@@ -173,8 +174,10 @@ class OnlineTest : public ::testing::Test
 
     /**
      * The core guarantee: submitting the stream incrementally and
-     * draining yields the offline oracle's schedule bit-identically,
-     * and the rolling counters match its computeSla() accounting.
+     * draining yields the batch path's schedule bit-identically —
+     * the watermark gates never decide differently than full
+     * knowledge — and the rolling counters match its computeSla()
+     * accounting.
      */
     void
     expectMatchesOffline(const ArrivalSource &src,
@@ -325,6 +328,76 @@ TEST_F(OnlineTest, MidStreamStatsQueriesDoNotPerturbTheSchedule)
     OnlineScheduler plain(model, src.models(), acc, oopts);
     runOnline(plain, src);
     EXPECT_TRUE(probed.schedule().identicalTo(plain.schedule()));
+}
+
+// ---------------------------------------------------------------
+// Batch path: the workload-bound engine behind HeraldScheduler
+// ---------------------------------------------------------------
+
+TEST_F(OnlineTest, PrebuiltTableEngineStreamsLikeTheBatchPath)
+{
+    // One prebuilt table serves both paths: streaming a workload's
+    // instances (spec index = model index) through an engine bound to
+    // it reproduces scheduleWorkload() exactly.
+    const Workload wl = backlogged().materialize("prebuilt");
+    const Accelerator acc = miniHda();
+    SchedulerOptions sopts;
+    sopts.policy = Policy::Lst;
+    sopts.dropPolicy = DropPolicy::DoomedFrames;
+    sopts.preemption = Preemption::AtLayerBoundary;
+    sopts.faults = midRunFaults();
+    sopts.postProcess = false;
+    const sched::LayerCostTable table = sched::LayerCostTable::build(
+        model, wl, acc, sopts.metric, sopts.rdaOverheads, 1);
+
+    OnlineOptions oopts;
+    oopts.sched = sopts;
+    oopts.retainSchedule = true;
+    OnlineScheduler batch(model, wl, acc, table, oopts);
+    const Schedule batched = batch.scheduleWorkload();
+    EXPECT_EQ(batch.stats().liveFrames, 0u);
+
+    OnlineScheduler streamed(model, wl, acc, table, oopts);
+    for (const workload::Instance &inst : wl.instances())
+        streamed.submit(inst.specIdx, inst.arrivalCycle,
+                        inst.deadlineCycle);
+    streamed.drain();
+    EXPECT_TRUE(streamed.schedule().identicalTo(batched));
+    EXPECT_TRUE(batched.identicalTo(
+        HeraldScheduler(model, sopts).schedule(wl, acc, table)));
+}
+
+TEST_F(OnlineTest, ScheduleWorkloadRejectsMisuse)
+{
+    const Workload wl = multirate().materialize("misuse");
+    const Accelerator acc = miniHda();
+    OnlineOptions retain;
+    retain.retainSchedule = true;
+    const sched::LayerCostTable table = sched::LayerCostTable::build(
+        model, wl, acc, retain.sched.metric, retain.sched.rdaOverheads,
+        1);
+
+    // Streaming engines have no workload to admit.
+    OnlineScheduler stream(model, multirate().models(), acc, retain);
+    EXPECT_THROW(stream.scheduleWorkload(), std::runtime_error);
+    // The batch path hands back the whole schedule.
+    OnlineScheduler retiring(model, wl, acc, table, OnlineOptions{});
+    EXPECT_THROW(retiring.scheduleWorkload(), std::runtime_error);
+    // One batch per engine, and never on top of a stream.
+    OnlineScheduler once(model, wl, acc, table, retain);
+    once.scheduleWorkload();
+    EXPECT_THROW(once.scheduleWorkload(), std::runtime_error);
+    OnlineScheduler mixed(model, wl, acc, table, retain);
+    mixed.submit(0, 0.0);
+    EXPECT_THROW(mixed.scheduleWorkload(), std::runtime_error);
+    // A table built for another accelerator is refused up front.
+    const Accelerator three_way = Accelerator::makeHda(
+        accel::edgeClass(),
+        {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao,
+         DataflowStyle::Eyeriss},
+        {512, 256, 256}, {8.0, 4.0, 4.0});
+    EXPECT_THROW(OnlineScheduler(model, wl, three_way, table, retain),
+                 std::runtime_error);
 }
 
 // ---------------------------------------------------------------
@@ -606,9 +679,6 @@ TEST_F(OnlineTest, RejectsBadSchedulerOptionCombos)
     o = SchedulerOptions{};
     o.policy = Policy::Lst;
     o.lstHysteresisCycles = 1e3;
-    EXPECT_NO_THROW(o.validate());
-    o = SchedulerOptions{};
-    o.deadlineAware = true; // alias resolves to EDF, stays legal
     EXPECT_NO_THROW(o.validate());
 }
 

@@ -165,7 +165,7 @@ TEST_F(RealtimeTest, ScheduleWithArrivalsIsValid)
     for (bool edf : {false, true}) {
         for (bool pp : {false, true}) {
             SchedulerOptions opts;
-            opts.deadlineAware = edf;
+            opts.policy = edf ? sched::Policy::Edf : sched::Policy::Fifo;
             opts.postProcess = pp;
             Schedule s =
                 HeraldScheduler(model, opts).schedule(wl, acc);
@@ -220,7 +220,7 @@ TEST_F(RealtimeTest, FutureFramesDoNotBlockArrivedWork)
         wl.addModel(dnn::mobileNetV1(), 1); // best-effort, arrival 0
         Accelerator acc = miniHda();
         SchedulerOptions opts;
-        opts.deadlineAware = edf;
+        opts.policy = edf ? sched::Policy::Edf : sched::Policy::Fifo;
         Schedule s = HeraldScheduler(model, opts).schedule(wl, acc);
         EXPECT_EQ(s.validate(wl, acc), "");
         sched::SlaStats sla = s.computeSla(wl);
@@ -235,7 +235,7 @@ TEST_F(RealtimeTest, FutureFramesDoNotBlockArrivedWork)
 
 TEST_F(RealtimeTest, EdfPreemptsAtDispatchOnceFrameIsReleased)
 {
-    // Depth-first FIFO runs all of M1 before M2. With deadlineAware,
+    // Depth-first FIFO runs all of M1 before M2. With EDF,
     // once M2's (tiny) arrival falls inside the committed schedule
     // horizon it must be dispatched ahead of M1's remaining layers —
     // M1 has no deadline, M2 a finite one. This regresses the
@@ -255,7 +255,7 @@ TEST_F(RealtimeTest, EdfPreemptsAtDispatchOnceFrameIsReleased)
 
     SchedulerOptions opts;
     opts.ordering = sched::Ordering::DepthFirst;
-    opts.deadlineAware = true;
+    opts.policy = sched::Policy::Edf;
     opts.postProcess = false;
     Schedule s = HeraldScheduler(model, opts).schedule(wl, acc);
     EXPECT_EQ(s.validate(wl, acc), "");
@@ -332,7 +332,7 @@ TEST_F(RealtimeTest, DeadlineAwareIsNoOpWithoutDeadlines)
 
     SchedulerOptions fifo;
     SchedulerOptions edf;
-    edf.deadlineAware = true;
+    edf.policy = sched::Policy::Edf;
     Schedule a = HeraldScheduler(model, fifo).schedule(wl, acc);
     Schedule b = HeraldScheduler(model, edf).schedule(wl, acc);
     ASSERT_EQ(a.entries().size(), b.entries().size());
@@ -420,7 +420,7 @@ TEST_F(RealtimeTest, EdfNeverWorseThanFifoOnFactoryScenarios)
               workload::mixedTenantScenario(frames)}) {
             SchedulerOptions fifo;
             SchedulerOptions edf;
-            edf.deadlineAware = true;
+            edf.policy = sched::Policy::Edf;
             Schedule sf =
                 HeraldScheduler(model, fifo).schedule(wl, acc);
             Schedule se =
@@ -438,29 +438,6 @@ TEST_F(RealtimeTest, EdfNeverWorseThanFifoOnFactoryScenarios)
 // ---------------------------------------------------------------
 // Selection policies (LST) and drop policies
 // ---------------------------------------------------------------
-
-TEST_F(RealtimeTest, DeadlineAwareAliasSelectsEdf)
-{
-    SchedulerOptions opts;
-    EXPECT_EQ(opts.effectivePolicy(), sched::Policy::Fifo);
-    opts.deadlineAware = true;
-    EXPECT_EQ(opts.effectivePolicy(), sched::Policy::Edf);
-    opts.policy = sched::Policy::Lst;
-    EXPECT_EQ(opts.effectivePolicy(), sched::Policy::Lst)
-        << "an explicit policy must win over the deprecated alias";
-
-    // The alias produces the exact schedule the enum produces.
-    Workload wl = miniRealtime();
-    Accelerator acc = miniHda();
-    SchedulerOptions alias_opts;
-    alias_opts.deadlineAware = true;
-    SchedulerOptions enum_opts;
-    enum_opts.policy = sched::Policy::Edf;
-    Schedule a =
-        HeraldScheduler(model, alias_opts).schedule(wl, acc);
-    Schedule b = HeraldScheduler(model, enum_opts).schedule(wl, acc);
-    EXPECT_TRUE(a.identicalTo(b));
-}
 
 TEST_F(RealtimeTest, LstIsExactNoOpWithoutDeadlines)
 {
@@ -933,7 +910,7 @@ TEST_F(RealtimeTest, SlaViolationsObjectivePicksMissArgmin)
     opts.partition.peGranularity = 256;
     opts.partition.bwGranularity = 4.0;
     opts.objective = dse::Objective::SlaViolations;
-    opts.scheduler.deadlineAware = true;
+    opts.scheduler.policy = sched::Policy::Edf;
     dse::Herald herald(model, opts);
     Workload wl = miniRealtime();
     dse::DseResult result = herald.explore(
@@ -1001,7 +978,7 @@ TEST_F(RealtimeTest, RealtimeDseDeterministicAcrossThreadCounts)
         opts.partition.bwGranularity = 2.0;
         opts.partition.strategy = dse::SearchStrategy::Binary;
         opts.objective = dse::Objective::SlaViolations;
-        opts.scheduler.deadlineAware = true;
+        opts.scheduler.policy = sched::Policy::Edf;
         opts.numThreads = threads;
         dse::Herald herald(fresh, opts);
         Workload wl = miniRealtime();

@@ -110,6 +110,38 @@ subEpsilonArrivals()
     return wl;
 }
 
+/**
+ * Instance index is not arrival order: models are added latest-first,
+ * so every base-order tie-break (FIFO, breadth-first rotation, the
+ * equal-arrival band and the sub-epsilon near-tie scan) must follow
+ * workload order, not the order frames reach the release cursor.
+ */
+Workload
+reversedArrivals()
+{
+    Workload wl("reversed-arrivals");
+    dnn::Model a("A");
+    a.addLayer(dnn::makeFullyConnected("f", 256, 256));
+    a.addLayer(dnn::makeFullyConnected("g", 128, 256));
+    dnn::Model b("B");
+    b.addLayer(dnn::makeFullyConnected("f", 512, 128));
+    dnn::Model c("C");
+    c.addLayer(dnn::makeConv("c", 32, 16, 30, 30, 3, 3));
+    wl.addModel(dnn::mobileNetV2(), 1, /*arrival=*/3e7);
+    // A sub-epsilon chain (c-b and b-a within kEps, c-a not) whose
+    // ids run against arrival order, with EDF keys c < b < a: the
+    // near-tie scan's winner depends on visiting it in id order.
+    wl.addModel(c, 1, /*arrival=*/100.0000012, /*deadline=*/3e6);
+    wl.addModel(b, 1, /*arrival=*/100.0000005, /*deadline=*/4e6);
+    wl.addModel(a, 2, /*arrival=*/100.0, /*deadline=*/6e6);
+    wl.addPeriodicModel(c, 3, /*period=*/2e5, /*deadline=*/1e6,
+                        /*phase=*/1e6);
+    wl.addPeriodicModel(a, 3, /*period=*/2e5, /*deadline=*/8e5,
+                        /*phase=*/1e6); // ties with the stream above
+    wl.addModel(b, 2, /*arrival=*/1e6); // same band, indexed last
+    return wl;
+}
+
 struct NamedWorkload
 {
     std::string name;
@@ -123,6 +155,7 @@ scenarios()
     out.push_back({"mini-mixed", miniMixed()});
     out.push_back({"tiny-frames", tinyFramesFarApart()});
     out.push_back({"sub-eps", subEpsilonArrivals()});
+    out.push_back({"reversed", reversedArrivals()});
     out.push_back({"arvrA", workload::arvrA()});
     out.push_back({"arvrA60fps", workload::arvrA60fps(3)});
     out.push_back({"mixedTenant", workload::mixedTenantScenario(2)});
@@ -222,24 +255,13 @@ TEST_F(SchedEquivalenceTest, FifoNeverPreempts)
     }
 }
 
-TEST_F(SchedEquivalenceTest, DeprecatedDeadlineAwareAliasStaysIdentical)
-{
-    // The deprecated bool must route through the same EDF path the
-    // enum selects — bit-identical to the reference on both spellings.
-    Accelerator acc = edgeHda();
-    SchedulerOptions alias_opts;
-    alias_opts.deadlineAware = true;
-    expectEquivalent(workload::arvrA60fps(3), acc, alias_opts,
-                     "alias/EDF");
-}
-
 TEST_F(SchedEquivalenceTest, ThreeWayHdaWithContextChange)
 {
     Accelerator acc = threeWayHda();
     SchedulerOptions opts;
     opts.contextChangeCycles = 1e4;
     expectEquivalent(miniMixed(), acc, opts, "3way/context");
-    opts.deadlineAware = true;
+    opts.policy = sched::Policy::Edf;
     expectEquivalent(workload::arvrA60fps(2), acc, opts,
                      "3way/context/EDF");
 }
@@ -317,7 +339,7 @@ TEST_F(SchedEquivalenceTest, PrebuiltTableReuseMatchesInternalBuild)
     Accelerator acc = edgeHda();
     Workload wl = workload::arvrA60fps(2);
     SchedulerOptions opts;
-    opts.deadlineAware = true;
+    opts.policy = sched::Policy::Edf;
     HeraldScheduler scheduler(model, opts);
     sched::LayerCostTable table = sched::LayerCostTable::build(
         model, wl, acc, opts.metric, opts.rdaOverheads, 1);

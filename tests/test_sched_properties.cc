@@ -518,7 +518,8 @@ TEST(PostProcessRandomized, NeverIntroducesViolations)
             rng.nextBounded(5)));
 
         SchedulerOptions opts;
-        opts.deadlineAware = rng.nextBounded(2) == 0;
+        opts.policy = rng.nextBounded(2) == 0 ? sched::Policy::Edf
+                                                : sched::Policy::Fifo;
         opts.lookaheadDepth =
             1 + static_cast<int>(rng.nextBounded(6));
         opts.maxPostPasses =
