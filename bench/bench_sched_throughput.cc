@@ -39,8 +39,11 @@
  *                   perform the --check-against comparison
  *
  * The big-scenario timings run with post-processing off so they
- * isolate dispatch throughput; a smaller postProcess-on measurement
- * tracks the incremental idle-time-elimination path.
+ * isolate dispatch throughput; two postProcess-on measurements track
+ * the incremental idle-time-elimination path: a small AR/VR stream
+ * mix and the factory mix (workload::faultedFactory, 256 frames at
+ * --small, 1024 otherwise), whose hundreds of gap-fill moves expose
+ * a quadratic scan.
  */
 
 #include <algorithm>
@@ -168,7 +171,8 @@ checkAgainstBaseline(const std::string &current_path,
     benchgate::BaselineChecker chk(cur, base, tolerance);
 
     for (const char *key :
-         {"fifo", "edf", "lst", "lst_preempt", "edf_postprocess"})
+         {"fifo", "edf", "lst", "lst_preempt", "edf_postprocess",
+          "edf_postprocess_factory"})
         chk.checkThroughput(std::string(key) + ".layers_per_sec");
 
     // Dimensionless policy-vs-FIFO ratios ride alongside the
@@ -344,6 +348,16 @@ main(int argc, char **argv)
         timeScheduler(model, wl_pp, acc, pp, reps, run_reference);
     printTiming("EDF+postproc", t_pp);
 
+    // Post-processing at compile scale: the factory mix is one long,
+    // lightly loaded EDF schedule with hundreds of gap-fill moves.
+    // A gap-fill scan that restarts at position 0 after every move is
+    // quadratic here, and its layers/sec falls far below the gate.
+    workload::Workload wl_factory =
+        workload::faultedFactory(small ? 256 : 1024);
+    Timing t_pp_factory = timeScheduler(model, wl_factory, acc, pp,
+                                        reps, /*run_reference=*/false);
+    printTiming("EDF+pp factory", t_pp_factory);
+
     // End-to-end DSE: the same candidate grid through the table-path
     // explore vs a manual reference-scheduler sweep.
     workload::Workload dse_wl =
@@ -444,7 +458,7 @@ main(int argc, char **argv)
     const double slowest_sched =
         std::max({t_fifo.schedSeconds, t_edf.schedSeconds,
                   t_lst.schedSeconds, t_lst_pre.schedSeconds,
-                  t_pp.schedSeconds});
+                  t_pp.schedSeconds, t_pp_factory.schedSeconds});
     bool within_bound =
         max_seconds <= 0.0 || slowest_sched <= max_seconds;
 
@@ -462,6 +476,7 @@ main(int argc, char **argv)
     emitTiming(json, "lst", t_lst, ",");
     emitTiming(json, "lst_preempt", t_lst_pre, ",");
     emitTiming(json, "edf_postprocess", t_pp, ",");
+    emitTiming(json, "edf_postprocess_factory", t_pp_factory, ",");
     auto ratio = [](const Timing &num, const Timing &den) {
         return den.layersPerSec() > 0.0
                    ? num.layersPerSec() / den.layersPerSec()

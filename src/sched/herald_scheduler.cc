@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -124,33 +123,6 @@ HeraldScheduler::schedule(const workload::Workload &wl,
 namespace
 {
 
-/** Flat key for an (instance, layer) pair; both fit in 32 bits. */
-std::uint64_t
-depKey(std::size_t instance_idx, std::size_t layer_idx)
-{
-    return (static_cast<std::uint64_t>(instance_idx) << 32) |
-           static_cast<std::uint64_t>(layer_idx & 0xffffffffULL);
-}
-
-/**
- * Entry index of (instance, layer) pairs for dependence lookups.
- * Fault-killed entries are skipped: a killed (instance, layer) pair
- * reappears as a later re-execution, and only the execution that
- * completed the work is a dependence anchor.
- */
-std::unordered_map<std::uint64_t, std::size_t>
-buildDependenceIndex(const std::vector<ScheduledLayer> &entries)
-{
-    std::unordered_map<std::uint64_t, std::size_t> index;
-    index.reserve(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (entries[i].faultKilled)
-            continue;
-        index[depKey(entries[i].instanceIdx, entries[i].layerIdx)] = i;
-    }
-    return index;
-}
-
 /** Rebuild a memory tracker mirroring the schedule's intervals. */
 MemoryTracker
 buildTracker(const std::vector<ScheduledLayer> &entries,
@@ -176,7 +148,25 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
     std::vector<ScheduledLayer> &entries = schedule.mutableEntries();
     if (entries.empty())
         return;
-    auto dep_index = buildDependenceIndex(entries);
+
+    // Dependence index: entry of each (instance, layer) pair, flat
+    // over per-instance layer offsets. Fault-killed entries are
+    // skipped: a killed pair reappears as a later re-execution, and
+    // only the execution that completed the work is a dependence
+    // anchor.
+    constexpr std::size_t kNone = SIZE_MAX;
+    std::vector<std::size_t> layer_base(wl.numInstances());
+    std::size_t num_layers = 0;
+    for (std::size_t i = 0; i < wl.numInstances(); ++i) {
+        layer_base[i] = num_layers;
+        num_layers += wl.modelOf(i).numLayers();
+    }
+    std::vector<std::size_t> dep_entry(num_layers, kNone);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (!entries[i].faultKilled)
+            dep_entry[layer_base[entries[i].instanceIdx] +
+                      entries[i].layerIdx] = i;
+    }
 
     // Fault pinning: idle-time elimination must not rewrite fault
     // history. Pinned (never moved): killed entries (their end is
@@ -231,12 +221,11 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
             wl.instances()[e.instanceIdx].arrivalCycle;
         if (e.layerIdx == 0)
             return arrival;
-        auto it =
-            dep_index.find(depKey(e.instanceIdx, e.layerIdx - 1));
-        return it == dep_index.end()
+        const std::size_t pred =
+            dep_entry[layer_base[e.instanceIdx] + e.layerIdx - 1];
+        return pred == kNone
                    ? arrival
-                   : std::max(arrival,
-                              entries[it->second].endCycle);
+                   : std::max(arrival, entries[pred].endCycle);
     };
 
     // Tracker and per-sub-accelerator time order are built once and
@@ -248,17 +237,132 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
     // the unique sorted order the per-pass sort would recompute.
     MemoryTracker tracker =
         buildTracker(entries, acc.globalBufferBytes());
+    auto by_start = [&](std::size_t a, std::size_t b) {
+        return entries[a].startCycle < entries[b].startCycle;
+    };
     std::vector<std::vector<std::size_t>> per_acc(
         schedule.numSubAccs());
     for (std::size_t i = 0; i < entries.size(); ++i)
         per_acc[entries[i].accIdx].push_back(i);
-    for (auto &vec : per_acc) {
-        std::sort(vec.begin(), vec.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      return entries[a].startCycle <
-                             entries[b].startCycle;
-                  });
-    }
+    for (auto &vec : per_acc)
+        std::sort(vec.begin(), vec.end(), by_start);
+
+    // Gap-fill one gap (Fig. 9): the idle window before vec[pos]
+    // (pos == 0 is the leading window before the sub-accelerator's
+    // first entry — with staggered arrivals a frame pinned at its
+    // arrival can leave a long head gap that later-queued but
+    // already-arrived work should fill). The first of the next
+    // lookaheadDepth entries that fits moves to the earliest point
+    // inside the gap its dependences and arrival allow, and is
+    // spliced to its new slot at pos so the order stays the
+    // sub-accelerator's time order. Returns whether an entry moved.
+    auto fill_gap = [&](std::vector<std::size_t> &vec,
+                        std::size_t pos) {
+        double gap_start =
+            pos == 0 ? 0.0 : entries[vec[pos - 1]].endCycle;
+        double gap_end = entries[vec[pos]].startCycle;
+        if (gap_end - gap_start <= kEps)
+            return false;
+        int depth = 0;
+        for (std::size_t j = pos;
+             j < vec.size() && depth < opts.lookaheadDepth;
+             ++j, ++depth) {
+            if (faulty && pinned[vec[j]])
+                continue;
+            ScheduledLayer &cand = entries[vec[j]];
+            double dur = cand.duration();
+            double earliest = std::max(gap_start, dep_ready(cand));
+            if (earliest + dur > gap_end + kEps)
+                continue; // does not fit in the gap
+            if (cand.startCycle <= earliest + kEps)
+                continue; // no improvement
+            if (!window_ok(cand, earliest))
+                continue; // would land on a fault
+            // Context-change penalties are baked into entry
+            // durations at dispatch time from the then-current
+            // sub-accelerator adjacency. A reorder that changed the
+            // adjacency would leave those durations stale (penalty
+            // charged where no switch remains, or a new switch
+            // uncharged), so with a non-zero penalty the move is only
+            // taken when it provably keeps every affected entry's
+            // penalty intact: the moved entry against its new
+            // predecessor, the entry it now precedes, and the entry
+            // left behind at its old slot. (The pull pass never
+            // reorders, so this is the only adjacency hazard;
+            // checkContextPenalties() asserts the invariant after the
+            // passes.)
+            if (opts.contextChangeCycles > 0.0 && j != pos) {
+                const double P = opts.contextChangeCycles;
+                auto pen = [&](const ScheduledLayer &e,
+                               const ScheduledLayer *prev) {
+                    return prev && prev->instanceIdx != e.instanceIdx
+                               ? P
+                               : 0.0;
+                };
+                const ScheduledLayer *new_prev =
+                    pos == 0 ? nullptr : &entries[vec[pos - 1]];
+                const ScheduledLayer &displaced = entries[vec[pos]];
+                if (pen(cand, new_prev) != cand.contextPenaltyCycles ||
+                    pen(displaced, &cand) !=
+                        displaced.contextPenaltyCycles) {
+                    continue;
+                }
+                if (j + 1 < vec.size()) {
+                    const ScheduledLayer &orphan = entries[vec[j + 1]];
+                    if (pen(orphan, &entries[vec[j - 1]]) !=
+                        orphan.contextPenaltyCycles) {
+                        continue;
+                    }
+                }
+            }
+            if (!tracker.feasible(
+                    earliest, dur,
+                    static_cast<double>(cand.l2FootprintBytes),
+                    vec[j])) {
+                continue;
+            }
+            tracker.move(vec[j], earliest);
+            cand.startCycle = earliest;
+            cand.endCycle = earliest + dur;
+            std::rotate(vec.begin() + static_cast<std::ptrdiff_t>(pos),
+                        vec.begin() + static_cast<std::ptrdiff_t>(j),
+                        vec.begin() +
+                            static_cast<std::ptrdiff_t>(j + 1));
+            return true;
+        }
+        return false;
+    };
+
+    // Where the gap-fill scan resumes after a move at gap pos. The
+    // scan left of pos found no move before this one, and a gap
+    // p' < pos - lookaheadDepth - 1 sees exactly what it saw then,
+    // so restarting at 0 would find no move there again. The move
+    // spliced vec[j] into [pos, j]; gap p' reads only
+    //  - vec[p'-1 .. p'+lookaheadDepth] (its bounds, candidates,
+    //    context-penalty neighbours and orphan), all left of pos;
+    //  - dep_ready of those candidates: only the moved entry's
+    //    successor changed, and it lies after pos on the timeline;
+    //  - tracker events up to (vec[p'].startCycle + kEps) + kEps
+    //    (a candidate ends by the gap end + kEps, occupancy reads
+    //    kEps past its query point), while the moved interval's old
+    //    and new windows start at or after vec[pos-1].endCycle.
+    // The last point holds when the order is time-sorted and every
+    // entry lasts longer than 2 kEps. Fault-killed entries can be
+    // shorter, so it is checked, in the arithmetic the tracker uses,
+    // on the last gap skipped (starts are sorted, so it bounds the
+    // rest); when it fails the scan restarts at 0. Either way the
+    // moves are exactly those of a restart from 0.
+    const std::size_t lookahead =
+        static_cast<std::size_t>(opts.lookaheadDepth);
+    auto resume_at = [&](const std::vector<std::size_t> &vec,
+                         std::size_t pos, bool sorted) -> std::size_t {
+        if (!sorted || pos <= lookahead + 1)
+            return 0;
+        const std::size_t r = pos - lookahead - 1;
+        const double reach =
+            (entries[vec[r - 1]].startCycle + kEps) + kEps;
+        return reach < entries[vec[pos - 1]].endCycle ? r : 0;
+    };
 
     for (int pass = 0; pass < opts.maxPostPasses; ++pass) {
         bool changed = false;
@@ -288,122 +392,27 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
             }
         }
 
-        // Gap-fill pass (Fig. 9): move a later layer into an idle gap
-        // within the look-ahead window. After every move the acc's
-        // time order is re-established (a splice of the moved entry
-        // to its new position) before continuing — gaps are only
-        // meaningful on a sorted timeline.
+        // Gap-fill pass: scan the gaps left to right, resuming
+        // shortly before each move (see resume_at), with at most
+        // vec.size() + 8 moves per sub-accelerator.
         for (auto &vec : per_acc) {
-            bool moved = true;
-            int guard = 0;
-            const int max_moves =
-                static_cast<int>(vec.size()) + 8;
-            while (moved && guard++ < max_moves) {
-                moved = false;
-                // Gaps include the leading idle window before the
-                // sub-accelerator's first entry (pos == 0) — with
-                // staggered arrivals a frame pinned at its arrival
-                // can leave a long head gap that later-queued but
-                // already-arrived work should fill. A candidate is
-                // placed at the earliest point inside the gap its
-                // dependences and arrival allow, not just at the
-                // gap's left edge.
-                for (std::size_t pos = 0;
-                     pos < vec.size() && !moved; ++pos) {
-                    double gap_start =
-                        pos == 0 ? 0.0
-                                 : entries[vec[pos - 1]].endCycle;
-                    double gap_end = entries[vec[pos]].startCycle;
-                    if (gap_end - gap_start <= kEps)
-                        continue;
-                    int depth = 0;
-                    for (std::size_t j = pos;
-                         j < vec.size() &&
-                         depth < opts.lookaheadDepth;
-                         ++j, ++depth) {
-                        if (faulty && pinned[vec[j]])
-                            continue;
-                        ScheduledLayer &cand = entries[vec[j]];
-                        double dur = cand.duration();
-                        double earliest =
-                            std::max(gap_start, dep_ready(cand));
-                        if (earliest + dur > gap_end + kEps)
-                            continue; // does not fit in the gap
-                        if (cand.startCycle <= earliest + kEps)
-                            continue; // no improvement
-                        if (!window_ok(cand, earliest))
-                            continue; // would land on a fault
-                        // Context-change penalties are baked into
-                        // entry durations at dispatch time from the
-                        // then-current sub-accelerator adjacency. A
-                        // reorder that changed the adjacency would
-                        // leave those durations stale (penalty
-                        // charged where no switch remains, or a new
-                        // switch uncharged), so with a non-zero
-                        // penalty the move is only taken when it
-                        // provably keeps every affected entry's
-                        // penalty intact: the moved entry against
-                        // its new predecessor, the entry it now
-                        // precedes, and the entry left behind at its
-                        // old slot. (The pull pass never reorders,
-                        // so this is the only adjacency hazard;
-                        // checkContextPenalties() asserts the
-                        // invariant after the passes.)
-                        if (opts.contextChangeCycles > 0.0 &&
-                            j != pos) {
-                            const double P = opts.contextChangeCycles;
-                            auto pen = [&](const ScheduledLayer &e,
-                                           const ScheduledLayer
-                                               *prev) {
-                                return prev && prev->instanceIdx !=
-                                                   e.instanceIdx
-                                           ? P
-                                           : 0.0;
-                            };
-                            const ScheduledLayer *new_prev =
-                                pos == 0 ? nullptr
-                                         : &entries[vec[pos - 1]];
-                            const ScheduledLayer &displaced =
-                                entries[vec[pos]];
-                            if (pen(cand, new_prev) !=
-                                    cand.contextPenaltyCycles ||
-                                pen(displaced, &cand) !=
-                                    displaced.contextPenaltyCycles) {
-                                continue;
-                            }
-                            if (j + 1 < vec.size()) {
-                                const ScheduledLayer &orphan =
-                                    entries[vec[j + 1]];
-                                if (pen(orphan,
-                                        &entries[vec[j - 1]]) !=
-                                    orphan.contextPenaltyCycles) {
-                                    continue;
-                                }
-                            }
-                        }
-                        if (!tracker.feasible(
-                                earliest, dur,
-                                static_cast<double>(
-                                    cand.l2FootprintBytes),
-                                vec[j])) {
-                            continue;
-                        }
-                        tracker.move(vec[j], earliest);
-                        cand.startCycle = earliest;
-                        cand.endCycle = earliest + dur;
-                        // Splice vec[j] into its new slot at pos.
-                        std::rotate(
-                            vec.begin() +
-                                static_cast<std::ptrdiff_t>(pos),
-                            vec.begin() +
-                                static_cast<std::ptrdiff_t>(j),
-                            vec.begin() +
-                                static_cast<std::ptrdiff_t>(j + 1));
-                        changed = true;
-                        moved = true;
-                        break;
-                    }
+            const std::size_t max_moves = vec.size() + 8;
+            std::size_t moves = 0;
+            bool sorted = std::is_sorted(vec.begin(), vec.end(),
+                                         by_start);
+            std::size_t pos = 0;
+            while (pos < vec.size() && moves < max_moves) {
+                if (!fill_gap(vec, pos)) {
+                    ++pos;
+                    continue;
                 }
+                changed = true;
+                ++moves;
+                sorted = sorted &&
+                         (pos + 1 == vec.size() ||
+                          entries[vec[pos]].startCycle <=
+                              entries[vec[pos + 1]].startCycle);
+                pos = resume_at(vec, pos, sorted);
             }
         }
 

@@ -259,7 +259,15 @@ class HeraldScheduler
      * Idle-time elimination (Fig. 9): pull + gap-fill sweeps.
      * Incremental: one MemoryTracker and one per-sub-accelerator
      * sorted order are maintained across passes and across gap-fill
-     * moves (a sorted-order splice replaces the per-move re-sort).
+     * moves (a sorted-order splice replaces the per-move re-sort),
+     * and dependences are looked up in a flat per-(instance, layer)
+     * array. After a move at gap pos the gap-fill scan resumes at
+     * max(0, pos - lookaheadDepth - 1) rather than 0: no gap further
+     * left reads anything the move changed, so the moves are exactly
+     * those of a restart from 0 (sched/reference_scheduler.hh keeps
+     * that scan as an oracle). Cost: O(passes x (N + moves x LA) x
+     * LA) candidate checks for N entries and look-ahead LA, instead
+     * of O(passes x moves x N x LA).
      */
     void postProcessIdleTime(Schedule &schedule,
                              const workload::Workload &wl,

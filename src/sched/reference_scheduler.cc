@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sched/memory_tracker.hh"
 #include "util/logging.hh"
 
 namespace herald::sched
@@ -24,14 +25,21 @@ depKey(std::size_t instance_idx, std::size_t layer_idx)
            static_cast<std::uint64_t>(layer_idx & 0xffffffffULL);
 }
 
-/** Entry index of (instance, layer) pairs for dependence lookups. */
+/**
+ * Entry index of (instance, layer) pairs for dependence lookups.
+ * Fault-killed entries are skipped (only the execution that completed
+ * the work is a dependence anchor); reference schedules have none.
+ */
 std::unordered_map<std::uint64_t, std::size_t>
 buildDependenceIndex(const std::vector<ScheduledLayer> &entries)
 {
     std::unordered_map<std::uint64_t, std::size_t> index;
     index.reserve(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i)
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (entries[i].faultKilled)
+            continue;
         index[depKey(entries[i].instanceIdx, entries[i].layerIdx)] = i;
+    }
     return index;
 }
 
@@ -593,5 +601,278 @@ referencePostProcess(Schedule &schedule,
 }
 
 } // namespace
+
+namespace
+{
+
+/** Rebuild a memory tracker mirroring the schedule's intervals. */
+MemoryTracker
+buildTracker(const std::vector<ScheduledLayer> &entries,
+             std::uint64_t capacity)
+{
+    MemoryTracker tracker(capacity);
+    tracker.reserve(entries.size());
+    for (const ScheduledLayer &e : entries) {
+        tracker.add(e.startCycle, e.duration(),
+                    static_cast<double>(e.l2FootprintBytes));
+    }
+    return tracker;
+}
+
+} // namespace
+
+// Frozen copy of HeraldScheduler::postProcessIdleTime from before its
+// gap-fill scan resumed at the last move; do not optimize.
+void
+referencePostProcessIdleTime(Schedule &schedule,
+                             const workload::Workload &wl,
+                             const accel::Accelerator &acc,
+                             const SchedulerOptions &opts)
+{
+    std::vector<ScheduledLayer> &entries = schedule.mutableEntries();
+    if (entries.empty())
+        return;
+    auto dep_index = buildDependenceIndex(entries);
+
+    // Fault pinning: idle-time elimination must not rewrite fault
+    // history. Pinned (never moved): killed entries (their end is
+    // the fault onset), every entry of an instance that suffered a
+    // kill (a re-execution pulled ahead of its kill would reorder
+    // cause and effect), and entries whose committed window overlaps
+    // an outage/throttle (their durations embed fault effects that
+    // do not transfer to another window). Unpinned entries only ever
+    // move into fully undisturbed windows.
+    const FaultTimeline &faults = opts.faults;
+    const bool faulty = !faults.empty();
+    std::vector<char> pinned;
+    if (faulty) {
+        pinned.assign(entries.size(), 0);
+        std::vector<char> victim(wl.numInstances(), 0);
+        for (const ScheduledLayer &e : entries) {
+            if (e.faultKilled)
+                victim[e.instanceIdx] = 1;
+        }
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            const ScheduledLayer &e = entries[i];
+            if (e.faultKilled || victim[e.instanceIdx] ||
+                !faults.windowUndisturbed(e.accIdx, e.startCycle,
+                                          e.duration()))
+                pinned[i] = 1;
+        }
+    }
+    // Reconfiguration windows pin like outages: the donor and
+    // receiver are rewiring, so nothing may be hoisted into the
+    // window (the dispatch loop never placed work there either).
+    const std::vector<ReconfigEvent> &reconfigs =
+        schedule.reconfigEvents();
+    auto window_ok = [&](const ScheduledLayer &e, double new_start) {
+        if (faulty && !faults.windowUndisturbed(e.accIdx, new_start,
+                                                e.duration()))
+            return false;
+        for (const ReconfigEvent &w : reconfigs) {
+            if (e.accIdx != w.donor && e.accIdx != w.receiver)
+                continue;
+            if (new_start < w.endCycle - kEps &&
+                new_start + e.duration() > w.startCycle + kEps)
+                return false;
+        }
+        return true;
+    };
+
+    // Earliest legal start: the predecessor's end, but never before
+    // the instance's arrival (pull/gap-fill must not hoist a frame's
+    // layers ahead of the frame itself).
+    auto dep_ready = [&](const ScheduledLayer &e) {
+        double arrival =
+            wl.instances()[e.instanceIdx].arrivalCycle;
+        if (e.layerIdx == 0)
+            return arrival;
+        auto it =
+            dep_index.find(depKey(e.instanceIdx, e.layerIdx - 1));
+        return it == dep_index.end()
+                   ? arrival
+                   : std::max(arrival,
+                              entries[it->second].endCycle);
+    };
+
+    // Tracker and per-sub-accelerator time order are built once and
+    // maintained incrementally: both passes only retime entries, and
+    // every retime updates the tracker (move) and the order (splice)
+    // in place, so no per-pass rebuild or re-sort is needed. Entry
+    // start times on one sub-accelerator are strictly increasing
+    // (positive durations, no overlap), so the maintained order is
+    // the unique sorted order the per-pass sort would recompute.
+    MemoryTracker tracker =
+        buildTracker(entries, acc.globalBufferBytes());
+    std::vector<std::vector<std::size_t>> per_acc(
+        schedule.numSubAccs());
+    for (std::size_t i = 0; i < entries.size(); ++i)
+        per_acc[entries[i].accIdx].push_back(i);
+    for (auto &vec : per_acc) {
+        std::sort(vec.begin(), vec.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      return entries[a].startCycle <
+                             entries[b].startCycle;
+                  });
+    }
+
+    for (int pass = 0; pass < opts.maxPostPasses; ++pass) {
+        bool changed = false;
+
+        // Pull pass: shift entries earlier preserving order.
+        for (auto &vec : per_acc) {
+            for (std::size_t pos = 0; pos < vec.size(); ++pos) {
+                if (faulty && pinned[vec[pos]])
+                    continue;
+                ScheduledLayer &e = entries[vec[pos]];
+                double acc_prev_end =
+                    pos == 0 ? 0.0 : entries[vec[pos - 1]].endCycle;
+                double new_start =
+                    std::max(dep_ready(e), acc_prev_end);
+                if (new_start < e.startCycle - kEps &&
+                    window_ok(e, new_start) &&
+                    tracker.feasible(
+                        new_start, e.duration(),
+                        static_cast<double>(e.l2FootprintBytes),
+                        vec[pos])) {
+                    tracker.move(vec[pos], new_start);
+                    double dur = e.duration();
+                    e.startCycle = new_start;
+                    e.endCycle = new_start + dur;
+                    changed = true;
+                }
+            }
+        }
+
+        // Gap-fill pass (Fig. 9): move a later layer into an idle gap
+        // within the look-ahead window. After every move the acc's
+        // time order is re-established (a splice of the moved entry
+        // to its new position) before continuing — gaps are only
+        // meaningful on a sorted timeline.
+        for (auto &vec : per_acc) {
+            bool moved = true;
+            int guard = 0;
+            const int max_moves =
+                static_cast<int>(vec.size()) + 8;
+            while (moved && guard++ < max_moves) {
+                moved = false;
+                // Gaps include the leading idle window before the
+                // sub-accelerator's first entry (pos == 0) — with
+                // staggered arrivals a frame pinned at its arrival
+                // can leave a long head gap that later-queued but
+                // already-arrived work should fill. A candidate is
+                // placed at the earliest point inside the gap its
+                // dependences and arrival allow, not just at the
+                // gap's left edge.
+                for (std::size_t pos = 0;
+                     pos < vec.size() && !moved; ++pos) {
+                    double gap_start =
+                        pos == 0 ? 0.0
+                                 : entries[vec[pos - 1]].endCycle;
+                    double gap_end = entries[vec[pos]].startCycle;
+                    if (gap_end - gap_start <= kEps)
+                        continue;
+                    int depth = 0;
+                    for (std::size_t j = pos;
+                         j < vec.size() &&
+                         depth < opts.lookaheadDepth;
+                         ++j, ++depth) {
+                        if (faulty && pinned[vec[j]])
+                            continue;
+                        ScheduledLayer &cand = entries[vec[j]];
+                        double dur = cand.duration();
+                        double earliest =
+                            std::max(gap_start, dep_ready(cand));
+                        if (earliest + dur > gap_end + kEps)
+                            continue; // does not fit in the gap
+                        if (cand.startCycle <= earliest + kEps)
+                            continue; // no improvement
+                        if (!window_ok(cand, earliest))
+                            continue; // would land on a fault
+                        // Context-change penalties are baked into
+                        // entry durations at dispatch time from the
+                        // then-current sub-accelerator adjacency. A
+                        // reorder that changed the adjacency would
+                        // leave those durations stale (penalty
+                        // charged where no switch remains, or a new
+                        // switch uncharged), so with a non-zero
+                        // penalty the move is only taken when it
+                        // provably keeps every affected entry's
+                        // penalty intact: the moved entry against
+                        // its new predecessor, the entry it now
+                        // precedes, and the entry left behind at its
+                        // old slot. (The pull pass never reorders,
+                        // so this is the only adjacency hazard;
+                        // checkContextPenalties() asserts the
+                        // invariant after the passes.)
+                        if (opts.contextChangeCycles > 0.0 &&
+                            j != pos) {
+                            const double P = opts.contextChangeCycles;
+                            auto pen = [&](const ScheduledLayer &e,
+                                           const ScheduledLayer
+                                               *prev) {
+                                return prev && prev->instanceIdx !=
+                                                   e.instanceIdx
+                                           ? P
+                                           : 0.0;
+                            };
+                            const ScheduledLayer *new_prev =
+                                pos == 0 ? nullptr
+                                         : &entries[vec[pos - 1]];
+                            const ScheduledLayer &displaced =
+                                entries[vec[pos]];
+                            if (pen(cand, new_prev) !=
+                                    cand.contextPenaltyCycles ||
+                                pen(displaced, &cand) !=
+                                    displaced.contextPenaltyCycles) {
+                                continue;
+                            }
+                            if (j + 1 < vec.size()) {
+                                const ScheduledLayer &orphan =
+                                    entries[vec[j + 1]];
+                                if (pen(orphan,
+                                        &entries[vec[j - 1]]) !=
+                                    orphan.contextPenaltyCycles) {
+                                    continue;
+                                }
+                            }
+                        }
+                        if (!tracker.feasible(
+                                earliest, dur,
+                                static_cast<double>(
+                                    cand.l2FootprintBytes),
+                                vec[j])) {
+                            continue;
+                        }
+                        tracker.move(vec[j], earliest);
+                        cand.startCycle = earliest;
+                        cand.endCycle = earliest + dur;
+                        // Splice vec[j] into its new slot at pos.
+                        std::rotate(
+                            vec.begin() +
+                                static_cast<std::ptrdiff_t>(pos),
+                            vec.begin() +
+                                static_cast<std::ptrdiff_t>(j),
+                            vec.begin() +
+                                static_cast<std::ptrdiff_t>(j + 1));
+                        changed = true;
+                        moved = true;
+                        break;
+                    }
+                }
+            }
+        }
+
+        if (!changed)
+            break;
+    }
+
+    if (opts.contextChangeCycles > 0.0) {
+        std::string stale = checkContextPenalties(
+            schedule, opts.contextChangeCycles);
+        if (!stale.empty())
+            util::panic("referencePostProcessIdleTime: ", stale);
+    }
+}
 
 } // namespace herald::sched

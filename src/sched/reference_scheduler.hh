@@ -11,6 +11,10 @@
  * test-only flag"). tests/test_sched_equivalence.cc asserts
  * HeraldScheduler::schedule() is bit-identical to this on every
  * scenario; bench_sched_throughput uses it as the speedup baseline.
+ *
+ * It also freezes the restart-from-0 idle-time post-processing
+ * (referencePostProcessIdleTime), the oracle for the production
+ * pass's resumed gap-fill scan.
  */
 
 #pragma once
@@ -29,6 +33,20 @@ Schedule referenceSchedule(cost::CostModel &model,
                            const SchedulerOptions &opts,
                            const workload::Workload &wl,
                            const accel::Accelerator &acc);
+
+/**
+ * The idle-time post-processing of HeraldScheduler as it was before
+ * its gap-fill scan learned to resume after a move: fault pinning,
+ * reconfiguration-window checks and the context-penalty guard
+ * included, but every gap-fill move restarts the scan at position 0.
+ * Applied to a schedule built with postProcess = false it must give
+ * a schedule bit-identical to HeraldScheduler::schedule() with
+ * postProcess = true under the same @p opts.
+ */
+void referencePostProcessIdleTime(Schedule &schedule,
+                                  const workload::Workload &wl,
+                                  const accel::Accelerator &acc,
+                                  const SchedulerOptions &opts);
 
 } // namespace herald::sched
 

@@ -5,16 +5,21 @@
  * implementation (per-layer cost queries + O(n_instances) scans) on
  * every factory scenario, under every combination of
  * {FIFO, EDF} x {BreadthFirst, DepthFirst} x postProcess {on, off} —
- * plus prefill-thread determinism and prebuilt-table reuse.
+ * plus prefill-thread determinism and prebuilt-table reuse, and the
+ * idle-time post-processing against its frozen restart-from-0 oracle
+ * under faults, reconfiguration and context-change penalties.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/accelerator.hh"
 #include "dnn/model_zoo.hh"
+#include "sched/fault_model.hh"
 #include "sched/herald_scheduler.hh"
 #include "sched/layer_cost_table.hh"
 #include "sched/reference_scheduler.hh"
@@ -350,6 +355,97 @@ TEST_F(SchedEquivalenceTest, PrebuiltTableReuseMatchesInternalBuild)
     Schedule reused_again = scheduler.schedule(wl, acc, table);
     EXPECT_TRUE(internal.identicalTo(reused));
     EXPECT_TRUE(internal.identicalTo(reused_again));
+}
+
+TEST_F(SchedEquivalenceTest, PostProcessMatchesRestartFromZeroOracle)
+{
+    // The production gap-fill resumes its scan a look-ahead window
+    // before the last move; the frozen oracle restarts at position 0
+    // after every move. Both must take the same moves in the same
+    // order, so post-processing a dispatch-only schedule with the
+    // oracle must equal the production schedule bit for bit.
+    const Workload wl = workload::faultedFactory(64);
+    sched::ReconfigOptions elastic;
+    elastic.policy = sched::Reconfig::BacklogSkew;
+    elastic.skewThresholdCycles = 3e7;
+    elastic.migrationQuantumPes = 128;
+    elastic.drainCycles = 5e4;
+    elastic.perPeRewireCycles = 100.0;
+    elastic.cooldownCycles = 1e6;
+
+    std::size_t improved = 0, killed = 0, reconfigured = 0;
+    for (const Accelerator &acc : {edgeHda(), threeWayHda()}) {
+        const double horizon =
+            HeraldScheduler(model).schedule(wl, acc).makespanCycles();
+        const std::pair<const char *, sched::FaultTimeline>
+            timelines[] = {
+                {"none", sched::FaultTimeline{}},
+                {"random", sched::FaultTimeline::random(
+                               7, acc.numSubAccs(), horizon)},
+                {"factory", sched::factoryFaultTimeline(
+                                acc.numSubAccs(), 1, horizon)}};
+        for (const auto &[fault_name, faults] : timelines) {
+            for (auto policy : {sched::Policy::Fifo,
+                                sched::Policy::Edf,
+                                sched::Policy::Lst}) {
+                for (int la : {1, 4, 9}) {
+                    for (double ctx : {0.0, 5000.0}) {
+                        for (bool reconfig : {false, true}) {
+                            SchedulerOptions on;
+                            on.policy = policy;
+                            on.lookaheadDepth = la;
+                            on.contextChangeCycles = ctx;
+                            on.faults = faults;
+                            if (reconfig)
+                                on.reconfig = elastic;
+                            SchedulerOptions off = on;
+                            off.postProcess = false;
+                            const std::string label =
+                                acc.name() + "/" + fault_name + "/" +
+                                sched::toString(policy) + "/la" +
+                                std::to_string(la) + "/ctx" +
+                                std::to_string(static_cast<int>(ctx)) +
+                                (reconfig ? "/elastic" : "/static");
+
+                            const Schedule dispatched =
+                                HeraldScheduler(model, off)
+                                    .schedule(wl, acc);
+                            Schedule expected = dispatched;
+                            sched::referencePostProcessIdleTime(
+                                expected, wl, acc, on);
+                            const Schedule actual =
+                                HeraldScheduler(model, on)
+                                    .schedule(wl, acc);
+                            ASSERT_TRUE(actual.identicalTo(expected))
+                                << label;
+                            EXPECT_EQ(actual.validate(
+                                          wl, acc,
+                                          faults.empty() ? nullptr
+                                                         : &faults),
+                                      "")
+                                << label;
+
+                            improved +=
+                                !actual.identicalTo(dispatched);
+                            reconfigured +=
+                                !actual.reconfigEvents().empty();
+                            killed += std::any_of(
+                                actual.entries().begin(),
+                                actual.entries().end(),
+                                [](const sched::ScheduledLayer &e) {
+                                    return e.faultKilled;
+                                });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The grid must exercise what it claims to: moves, fault kills
+    // (pinned entries) and reconfiguration windows.
+    EXPECT_GT(improved, 0u);
+    EXPECT_GT(killed, 0u);
+    EXPECT_GT(reconfigured, 0u);
 }
 
 TEST_F(SchedEquivalenceTest, TableOrderMatchesMetricSort)

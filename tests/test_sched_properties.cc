@@ -15,6 +15,7 @@
 
 #include "accel/accelerator.hh"
 #include "dnn/model_zoo.hh"
+#include "sched/fault_model.hh"
 #include "sched/herald_scheduler.hh"
 #include "util/logging.hh"
 #include "util/math_utils.hh"
@@ -511,6 +512,8 @@ TEST(PostProcessRandomized, NeverIntroducesViolations)
     util::setVerbose(false);
     cost::CostModel model;
     util::SplitMix64 rng(20260726);
+    std::size_t killed = 0;
+    bool lst_seen = false;
 
     for (int trial = 0; trial < 16; ++trial) {
         Workload wl = randomWorkload(rng, trial);
@@ -518,14 +521,28 @@ TEST(PostProcessRandomized, NeverIntroducesViolations)
             rng.nextBounded(5)));
 
         SchedulerOptions opts;
-        opts.policy = rng.nextBounded(2) == 0 ? sched::Policy::Edf
-                                                : sched::Policy::Fifo;
+        const sched::Policy policies[] = {sched::Policy::Fifo,
+                                          sched::Policy::Edf,
+                                          sched::Policy::Lst};
+        opts.policy = policies[rng.nextBounded(3)];
         opts.lookaheadDepth =
             1 + static_cast<int>(rng.nextBounded(6));
         opts.maxPostPasses =
             1 + static_cast<int>(rng.nextBounded(8));
         if (rng.nextBounded(3) == 0)
             opts.contextChangeCycles = 5000.0;
+        // Faults pin entries the gap-fill scan must step over.
+        if (rng.nextBounded(2) == 0) {
+            SchedulerOptions plain;
+            plain.postProcess = false;
+            const double horizon = sched::HeraldScheduler(model, plain)
+                                       .schedule(wl, acc)
+                                       .makespanCycles();
+            opts.faults = sched::FaultTimeline::random(
+                rng.next(), acc.numSubAccs(), horizon);
+        }
+        const sched::FaultTimeline *faults =
+            opts.faults.empty() ? nullptr : &opts.faults;
         SchedulerOptions no_pp = opts;
         no_pp.postProcess = false;
         opts.postProcess = true;
@@ -535,14 +552,20 @@ TEST(PostProcessRandomized, NeverIntroducesViolations)
         sched::Schedule without_pp =
             sched::HeraldScheduler(model, no_pp).schedule(wl, acc);
 
-        EXPECT_EQ(with_pp.validate(wl, acc), "")
+        EXPECT_EQ(with_pp.validate(wl, acc, faults), "")
             << "trial " << trial << " on " << acc.name();
-        EXPECT_EQ(without_pp.validate(wl, acc), "")
+        EXPECT_EQ(without_pp.validate(wl, acc, faults), "")
             << "trial " << trial << " on " << acc.name();
         EXPECT_LE(with_pp.makespanCycles(),
                   without_pp.makespanCycles() + 1e-6)
             << "trial " << trial;
+        for (const sched::ScheduledLayer &e : with_pp.entries())
+            killed += e.faultKilled;
+        lst_seen = lst_seen || opts.policy == sched::Policy::Lst;
     }
+    // The draws must reach the LST and fault-kill paths.
+    EXPECT_TRUE(lst_seen);
+    EXPECT_GT(killed, 0u);
 }
 
 } // namespace
