@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 
 #include "util/logging.hh"
+#include "util/math_utils.hh"
 
 namespace herald::cost
 {
@@ -22,15 +22,6 @@ bytes(std::uint64_t words)
            static_cast<double>(dnn::kDataBytes);
 }
 
-/** Bit pattern of a double for exact-identity hashing. */
-std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
 } // namespace
 
 std::size_t
@@ -40,23 +31,11 @@ CostCacheKeyHash::operator()(const CostCacheKey &key) const
     auto mix = [&h](std::uint64_t v) {
         h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
     };
-    mix(key.depthwise);
-    mix(key.k);
-    mix(key.c);
-    mix(key.oy);
-    mix(key.ox);
-    mix(key.r);
-    mix(key.s);
-    mix(key.strideNum);
-    mix(key.strideDen);
+    for (std::uint64_t v : key.geometry)
+        mix(v);
     mix(static_cast<std::uint64_t>(key.style));
-    mix(key.numPes);
-    mix(key.l2Bytes);
-    mix(key.l1Bytes);
-    mix(key.bwBits);
-    mix(key.dramBwBits);
-    mix(key.clockBits);
-    mix(key.localBwBits);
+    for (std::uint64_t v : key.resources)
+        mix(v);
     return static_cast<std::size_t>(h);
 }
 
@@ -66,31 +45,16 @@ CostModel::CostModel(EnergyModel energy_model, CostOptions options)
     validate(energy);
 }
 
-CostCacheKey
-CostModel::cacheKey(const dnn::Layer &layer,
-                    dataflow::DataflowStyle style,
-                    const SubAccResources &res) const
+std::array<std::uint64_t, 7>
+SubAccResources::identity() const
 {
-    const dnn::CanonicalConv &conv = layer.canonical();
-    CostCacheKey key;
-    key.depthwise = conv.depthwise ? 1 : 0;
-    key.k = conv.k;
-    key.c = conv.c;
-    key.oy = conv.oy;
-    key.ox = conv.ox;
-    key.r = conv.r;
-    key.s = conv.s;
-    key.strideNum = conv.strideNum;
-    key.strideDen = conv.strideDen;
-    key.style = style;
-    key.numPes = res.numPes;
-    key.l2Bytes = res.l2Bytes;
-    key.l1Bytes = res.l1Bytes;
-    key.bwBits = doubleBits(res.bwGBps);
-    key.dramBwBits = doubleBits(res.dramBwGBps);
-    key.clockBits = doubleBits(res.clockGHz);
-    key.localBwBits = doubleBits(res.localBwBytesPerCycle);
-    return key;
+    return {numPes,
+            l2Bytes,
+            l1Bytes,
+            util::doubleBits(bwGBps),
+            util::doubleBits(dramBwGBps),
+            util::doubleBits(clockGHz),
+            util::doubleBits(localBwBytesPerCycle)};
 }
 
 LayerCost
@@ -98,7 +62,8 @@ CostModel::evaluate(const dnn::Layer &layer,
                     dataflow::DataflowStyle style,
                     const SubAccResources &res)
 {
-    const CostCacheKey key = cacheKey(layer, style, res);
+    const CostCacheKey key{layer.canonical().identity(), style,
+                           res.identity()};
     // Shard on the high hash bits: the shard's unordered_map buckets
     // on the low bits, and reusing them would leave every key in a
     // shard congruent mod kCacheShards (chain blowup on power-of-two

@@ -48,6 +48,14 @@ struct SubAccResources
      */
     double localBwBytesPerCycle = 0.0;
 
+    /**
+     * Every field as a 64-bit pattern (doubles bit-for-bit), in one
+     * fixed order: the resource identity the cost caches key on.
+     * This is the one place the fields are listed for that purpose,
+     * so a field added here reaches every cache key.
+     */
+    std::array<std::uint64_t, 7> identity() const;
+
     double
     effectiveDramBw() const
     {
@@ -126,37 +134,19 @@ struct LayerCost
  * CanonicalConv (the mapper consumes layer.canonical()), so the key
  * carries the canonical dims verbatim — real equality, closing the
  * silent wrong-cost hazard two hash-colliding tuples used to have.
- * Floating-point resource fields are stored as bit patterns so
- * operator== and the hash agree on the same identity.
  */
 struct CostCacheKey
 {
-    // Canonical layer geometry.
-    std::uint64_t depthwise = 0;
-    std::uint64_t k = 0, c = 0, oy = 0, ox = 0, r = 0, s = 0;
-    std::uint64_t strideNum = 0, strideDen = 0;
-    // Mapping style.
+    /** CanonicalConv::identity() of the layer. */
+    std::array<std::uint64_t, 9> geometry{};
     dataflow::DataflowStyle style = dataflow::DataflowStyle::NVDLA;
-    // Resources (doubles as raw bit patterns).
-    std::uint64_t numPes = 0;
-    std::uint64_t l2Bytes = 0;
-    std::uint64_t l1Bytes = 0;
-    std::uint64_t bwBits = 0;
-    std::uint64_t dramBwBits = 0;
-    std::uint64_t clockBits = 0;
-    std::uint64_t localBwBits = 0;
+    /** SubAccResources::identity() of the sub-accelerator. */
+    std::array<std::uint64_t, 7> resources{};
 
     bool operator==(const CostCacheKey &o) const
     {
-        return depthwise == o.depthwise && k == o.k && c == o.c &&
-               oy == o.oy && ox == o.ox && r == o.r && s == o.s &&
-               strideNum == o.strideNum &&
-               strideDen == o.strideDen && style == o.style &&
-               numPes == o.numPes && l2Bytes == o.l2Bytes &&
-               l1Bytes == o.l1Bytes && bwBits == o.bwBits &&
-               dramBwBits == o.dramBwBits &&
-               clockBits == o.clockBits &&
-               localBwBits == o.localBwBits;
+        return geometry == o.geometry && style == o.style &&
+               resources == o.resources;
     }
 };
 
@@ -225,10 +215,6 @@ class CostModel
     EnergyModel energy;
     CostOptions opts;
     std::array<CacheShard, kCacheShards> shards;
-
-    CostCacheKey cacheKey(const dnn::Layer &layer,
-                          dataflow::DataflowStyle style,
-                          const SubAccResources &res) const;
 };
 
 } // namespace herald::cost

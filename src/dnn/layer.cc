@@ -180,15 +180,8 @@ Layer::shapeKey() const
         h *= 1099511628211ULL;
     };
     mix(static_cast<std::uint64_t>(layerKind));
-    mix(canon.depthwise ? 1 : 0);
-    mix(canon.k);
-    mix(canon.c);
-    mix(canon.oy);
-    mix(canon.ox);
-    mix(canon.r);
-    mix(canon.s);
-    mix(canon.strideNum);
-    mix(canon.strideDen);
+    for (std::uint64_t v : canon.identity())
+        mix(v);
     return h;
 }
 

@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -77,6 +78,18 @@ struct CanonicalConv
 
     /** Total multiply-accumulates in the layer. */
     std::uint64_t macs() const { return k * c * oy * ox * r * s; }
+
+    /**
+     * Every field as a 64-bit value, in declaration order: the
+     * geometry identity cost caches key on. Two layers with equal
+     * identities cost the same on any sub-accelerator.
+     */
+    std::array<std::uint64_t, 9>
+    identity() const
+    {
+        return {depthwise ? 1U : 0U, k, c, oy, ox, r, s, strideNum,
+                strideDen};
+    }
 
     /** Input rows covered by @p extent output rows (with halo). */
     std::uint64_t inputRows(std::uint64_t extent) const;

@@ -175,16 +175,10 @@ Herald::evaluateImpl(const workload::Workload &wl,
     sched_opts.reconfig = reconfig;
     sched_opts.prefillThreads = prefill_threads;
     sched::HeraldScheduler scheduler(costModel, sched_opts);
-    auto run = [&]() -> sched::Schedule {
-        if (cache != nullptr && wl.numInstances() > 0) {
-            sched::LayerCostTable table = sched::LayerCostTable::build(
-                costModel, wl, acc, sched_opts.metric,
-                sched_opts.rdaOverheads, prefill_threads, cache);
-            return scheduler.schedule(wl, acc, table);
-        }
-        return scheduler.schedule(wl, acc);
-    };
-    sched::Schedule schedule = run();
+    const sched::LayerCostTable table = sched::LayerCostTable::build(
+        costModel, wl, acc, sched_opts.metric, sched_opts.rdaOverheads,
+        prefill_threads, cache);
+    sched::Schedule schedule = scheduler.schedule(wl, acc, table);
     DsePoint point{acc,
                    schedule.finalize(wl, acc,
                                      costModel.energyModel(),

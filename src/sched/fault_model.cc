@@ -5,34 +5,10 @@
 #include <sstream>
 
 #include "util/logging.hh"
+#include "util/math_utils.hh"
 
 namespace herald::sched
 {
-
-namespace
-{
-
-constexpr double kEps = 1e-6;
-
-/** splitmix64: platform-independent, so seeds reproduce anywhere. */
-std::uint64_t
-nextU64(std::uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-/** Uniform double in [0, 1). */
-double
-nextUnit(std::uint64_t &state)
-{
-    return static_cast<double>(nextU64(state) >> 11) * 0x1.0p-53;
-}
-
-} // namespace
 
 void
 FaultTimeline::checkAcc(std::size_t acc) const
@@ -137,58 +113,56 @@ FaultTimeline::random(std::uint64_t seed, std::size_t n_sub_accs,
                     "finite and positive");
 
     FaultTimeline tl(n_sub_accs);
-    std::uint64_t state = seed;
+    util::SplitMix64 rng(seed);
     // One sub-accelerator is always spared the permanent failure so
     // a random timeline degrades the chip, never bricks it.
-    const std::size_t spared = nextU64(state) % n_sub_accs;
+    const std::size_t spared = rng.nextBounded(n_sub_accs);
 
     for (std::size_t a = 0; a < n_sub_accs; ++a) {
-        if (nextUnit(state) < opts.outageProb &&
+        if (rng.nextDouble() < opts.outageProb &&
             opts.maxOutagesPerAcc > 0) {
-            const int n = 1 + static_cast<int>(
-                                  nextU64(state) %
+            const int n = 1 + static_cast<int>(rng.nextBounded(
                                   static_cast<std::uint64_t>(
-                                      opts.maxOutagesPerAcc));
+                                      opts.maxOutagesPerAcc)));
             for (int i = 0; i < n; ++i) {
-                double begin = nextUnit(state) * 0.85 *
+                double begin = rng.nextDouble() * 0.85 *
                                horizon_cycles;
                 double frac =
                     opts.minOutageFraction +
-                    nextUnit(state) * (opts.maxOutageFraction -
-                                       opts.minOutageFraction);
+                    rng.nextDouble() * (opts.maxOutageFraction -
+                                        opts.minOutageFraction);
                 tl.addOutage(a, begin, frac * horizon_cycles);
             }
         }
-        if (nextUnit(state) < opts.throttleProb &&
+        if (rng.nextDouble() < opts.throttleProb &&
             opts.maxThrottlesPerAcc > 0) {
-            const int n = 1 + static_cast<int>(
-                                  nextU64(state) %
+            const int n = 1 + static_cast<int>(rng.nextBounded(
                                   static_cast<std::uint64_t>(
-                                      opts.maxThrottlesPerAcc));
+                                      opts.maxThrottlesPerAcc)));
             // Throttles are laid out left to right in disjoint
             // lanes: each picks a begin inside [prev_end, horizon).
             double lane = 0.0;
             for (int i = 0; i < n && lane < horizon_cycles; ++i) {
                 double begin =
                     lane +
-                    nextUnit(state) * (horizon_cycles - lane) * 0.7;
+                    rng.nextDouble() * (horizon_cycles - lane) * 0.7;
                 double dur = (opts.minOutageFraction +
-                              nextUnit(state) *
+                              rng.nextDouble() *
                                   (opts.maxOutageFraction -
                                    opts.minOutageFraction)) *
                              horizon_cycles;
                 double factor =
                     opts.minThrottleFactor +
-                    nextUnit(state) * (opts.maxThrottleFactor -
-                                       opts.minThrottleFactor);
+                    rng.nextDouble() * (opts.maxThrottleFactor -
+                                        opts.minThrottleFactor);
                 tl.addThrottle(a, begin, dur, factor);
                 lane = begin + dur;
             }
         }
         if (a != spared &&
-            nextUnit(state) < opts.permanentFailureProb) {
+            rng.nextDouble() < opts.permanentFailureProb) {
             tl.addPermanentFailure(
-                a, (0.3 + 0.6 * nextUnit(state)) * horizon_cycles);
+                a, (0.3 + 0.6 * rng.nextDouble()) * horizon_cycles);
         }
     }
     return tl;

@@ -13,13 +13,6 @@
 namespace herald::sched
 {
 
-namespace
-{
-
-constexpr double kEps = 1e-6;
-
-} // namespace
-
 const char *
 toString(Ordering ordering)
 {

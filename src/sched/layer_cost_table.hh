@@ -28,12 +28,10 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <map>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "accel/rda.hh"
@@ -47,12 +45,14 @@ namespace herald::sched
  * Cross-candidate cache of LayerCostTable *columns*: the vector of
  * per-unique-layer StyledLayerCosts of one sub-accelerator, keyed on
  * everything the column is a pure function of — the sub-
- * accelerator's dataflow style (or flexibility), its full resource
- * tuple, and the RDA overhead coefficients. The workload's unique-
- * layer set is deliberately NOT part of the key: a cache instance is
- * bound to one workload (asserted via the row count on first use)
- * and shared across the many accelerator candidates the DSE
- * schedules against that workload.
+ * accelerator's dataflow style (or flexibility), its resource
+ * identity (cost::SubAccResources::identity(), the same one the
+ * CostModel keys on), and the RDA overhead coefficients. The
+ * workload's unique-layer set is deliberately NOT part of the key: a
+ * cache instance is bound on first use to one workload's row
+ * geometry (each row's dnn::CanonicalConv::identity(); fatal on a
+ * later mismatch) and shared across the many accelerator candidates
+ * the DSE schedules against that workload.
  *
  * Why columns and not per-layer costs: the CostModel already
  * memoizes per-(layer, style, resources) evaluations, but a table
@@ -61,15 +61,16 @@ namespace herald::sched
  * (an annealing move, a shared axis value of the exhaustive grid)
  * mostly re-request identical columns, so caching at column
  * granularity collapses the whole per-column prefill to one lookup
- * plus a memcpy, which is what makes metaheuristic search pay ~only
- * the dispatch cost per revisited region (see docs/DSE.md).
+ * plus a copy (see docs/DSE.md).
  *
  * Thread safety: find/insert may race from any number of
- * Herald::explore workers. The map is split into kShards shards,
- * each behind its own mutex; columns are immutable once published
- * (shared_ptr<const Column>), and on an insert race the first writer
- * wins — both racers computed the identical pure-function column,
- * so the cache stays deterministic.
+ * Herald::explore workers. One mutex guards the map, the binding and
+ * the counters; a sweep probes once per sub-accelerator per
+ * candidate against ~1 ms of scheduling, so the lock is uncontended.
+ * Map nodes are never erased and columns are immutable once
+ * published, so a found column stays valid for the cache's lifetime.
+ * On an insert race the first writer wins — both racers computed the
+ * identical pure-function column, so the cache stays deterministic.
  */
 class CostColumnCache
 {
@@ -77,19 +78,14 @@ class CostColumnCache
     /** One column: rows entries in unique-layer row order. */
     using Column = std::vector<accel::StyledLayerCost>;
 
-    /** Hit/miss counters (for bench reporting; racy reads are ok). */
+    /** Hit/miss counters (for bench reporting). */
     struct Stats
     {
         std::size_t hits = 0;
         std::size_t misses = 0;
     };
 
-    Stats
-    stats() const
-    {
-        return Stats{hitCount.load(std::memory_order_relaxed),
-                     missCount.load(std::memory_order_relaxed)};
-    }
+    Stats stats() const;
 
     /** Distinct columns currently cached. */
     std::size_t size() const;
@@ -97,59 +93,32 @@ class CostColumnCache
   private:
     friend class LayerCostTable;
 
-    /** Everything a column is a pure function of (doubles as bits). */
-    struct Key
-    {
-        std::uint64_t style = 0;
-        std::uint64_t flexible = 0;
-        std::uint64_t numPes = 0;
-        std::uint64_t l2Bytes = 0;
-        std::uint64_t l1Bytes = 0;
-        std::uint64_t bwBits = 0;
-        std::uint64_t dramBwBits = 0;
-        std::uint64_t clockBits = 0;
-        std::uint64_t localBwBits = 0;
-        std::uint64_t rdaTaxBits = 0;
-        std::uint64_t rdaBaseBits = 0;
-        std::uint64_t rdaPerPeBits = 0;
-        std::uint64_t rdaEnergyBits = 0;
+    /** Style, flexibility, resource identity, RDA coefficients. */
+    using Key = std::array<std::uint64_t, 13>;
 
-        bool operator==(const Key &o) const;
-    };
-
-    struct KeyHash
-    {
-        std::size_t operator()(const Key &key) const;
-    };
+    /** Everything the column of @p sub on @p res is a function of. */
+    static Key keyOf(const accel::SubAccelerator &sub,
+                     const cost::SubAccResources &res,
+                     const accel::RdaOverheads &rda);
 
     /** Cached column for @p key, or nullptr (counts the probe). */
-    std::shared_ptr<const Column> find(const Key &key);
+    const Column *find(const Key &key);
 
     /** Publish @p column; an earlier racer's identical copy wins. */
-    void insert(const Key &key, std::shared_ptr<const Column> column);
+    void insert(const Key &key, Column column);
 
     /**
-     * Bind the cache to a workload's unique-layer row count on first
-     * use; fatal when a later build disagrees — sharing one cache
-     * across workloads would silently serve wrong-length (and
-     * wrong-layer) columns.
+     * Bind the cache to @p wl's unique-layer geometry on first use;
+     * fatal when a later build disagrees — sharing one cache across
+     * workloads would silently serve wrong-layer columns.
      */
-    void bindRows(std::size_t rows);
+    void bind(const workload::Workload &wl);
 
-    static constexpr std::size_t kShards = 16;
-
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::unordered_map<Key, std::shared_ptr<const Column>,
-                           KeyHash>
-            map;
-    };
-
-    std::array<Shard, kShards> shards;
-    std::atomic<std::size_t> hitCount{0};
-    std::atomic<std::size_t> missCount{0};
-    std::atomic<std::size_t> boundRows{0};
+    mutable std::mutex mutex;
+    std::map<Key, Column> columns;
+    /** Per-row dnn::CanonicalConv::identity(); empty until bound. */
+    std::vector<std::array<std::uint64_t, 9>> rowGeometry;
+    Stats counts;
 };
 
 /** See file comment. */
@@ -315,6 +284,31 @@ class LayerCostTable
     static constexpr std::size_t kMinParallelEvals = 1024;
 
   private:
+    /**
+     * Evaluate the listed @p columns of every row against @p acc,
+     * recompute each row's derived state (metric values, metric-
+     * sorted order, minimum over all columns — those read every
+     * column, listed or not), then re-fold the suffix sums. Rows are
+     * independent pure functions of (layer, acc), so the threaded
+     * fill is bit-identical to the serial one; the pool only spins up
+     * when rows x columns reaches kMinParallelEvals.
+     */
+    void fill(cost::CostModel &model, const workload::Workload &wl,
+              const accel::Accelerator &acc, Metric metric,
+              const accel::RdaOverheads &rda,
+              const std::vector<std::size_t> &columns,
+              std::size_t num_threads);
+
+    /**
+     * Per-model remaining-work suffix sums of the per-row @p min
+     * into @p suffix (one trailing 0 per model segment). inf is
+     * absorbing: a chain through an unrunnable layer has no finite
+     * bound.
+     */
+    static void foldSuffix(const std::vector<std::size_t> &modelOffset,
+                           const std::vector<double> &min,
+                           std::vector<double> &suffix);
+
     std::size_t nAcc = 0;
     std::vector<std::size_t> modelOffset; //!< per unique model
     std::vector<accel::StyledLayerCost> entries; //!< row-major

@@ -4,17 +4,11 @@
 #include <cmath>
 #include <limits>
 
+#include "sched/schedule.hh"
 #include "util/logging.hh"
 
 namespace herald::sched
 {
-
-namespace
-{
-
-constexpr double kEps = 1e-6;
-
-} // namespace
 
 // ------------------------------------------------------------------
 // Fenwick tree over per-block delta sums

@@ -12,8 +12,6 @@ namespace herald::sched
 namespace
 {
 
-constexpr double kEps = 1e-6;
-
 // Log-spaced latency histogram: bucket b covers latencies up to
 // 2^((b+1)/kLatScale) - 1 cycles (~4.4% wide buckets). 1024 buckets
 // reach 2^64 cycles, far past the workload layer's 2^53 cycle limit.

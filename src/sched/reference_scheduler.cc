@@ -15,8 +15,6 @@ namespace herald::sched
 namespace
 {
 
-constexpr double kEps = 1e-6;
-
 /** Flat key for an (instance, layer) pair; both fit in 32 bits. */
 std::uint64_t
 depKey(std::size_t instance_idx, std::size_t layer_idx)

@@ -11,11 +11,6 @@
 namespace herald::sched
 {
 
-namespace
-{
-constexpr double kEps = 1e-6;
-} // namespace
-
 bool
 operator==(const ScheduledLayer &a, const ScheduledLayer &b)
 {

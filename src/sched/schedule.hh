@@ -23,6 +23,13 @@ namespace herald::sched
 
 class FaultTimeline;
 
+/**
+ * Absolute tolerance, in cycles, of every schedule-time comparison
+ * (ties, overlaps, window edges, arrival gates). Schedule time is a
+ * double; this is the one place its epsilon is defined.
+ */
+inline constexpr double kEps = 1e-6;
+
 /** One scheduled layer execution. */
 struct ScheduledLayer
 {

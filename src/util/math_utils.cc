@@ -1,6 +1,7 @@
 #include "util/math_utils.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/logging.hh"
 
@@ -105,6 +106,14 @@ isqrt(std::uint64_t value)
     while ((r + 1) * (r + 1) <= value)
         ++r;
     return r;
+}
+
+std::uint64_t
+doubleBits(double value)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
 }
 
 } // namespace herald::util

@@ -45,6 +45,9 @@ FactorPair bestFactorPair(std::uint64_t pes, std::uint64_t bound_a,
 /** Integer floor of sqrt. */
 std::uint64_t isqrt(std::uint64_t value);
 
+/** Bit pattern of a double, for exact-identity cache keys. */
+std::uint64_t doubleBits(double value);
+
 /**
  * Deterministic 64-bit PRNG (splitmix64). Herald never uses
  * std::random_device so that every DSE run is reproducible.

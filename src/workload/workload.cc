@@ -25,17 +25,9 @@ modelsStructurallyEqual(const dnn::Model &a, const dnn::Model &b)
     for (std::size_t i = 0; i < a.numLayers(); ++i) {
         const dnn::Layer &la = a.layer(i);
         const dnn::Layer &lb = b.layer(i);
-        if (la.kind() != lb.kind())
+        if (la.kind() != lb.kind() ||
+            la.canonical().identity() != lb.canonical().identity())
             return false;
-        const dnn::CanonicalConv &ca = la.canonical();
-        const dnn::CanonicalConv &cb = lb.canonical();
-        if (ca.depthwise != cb.depthwise || ca.k != cb.k ||
-            ca.c != cb.c || ca.oy != cb.oy || ca.ox != cb.ox ||
-            ca.r != cb.r || ca.s != cb.s ||
-            ca.strideNum != cb.strideNum ||
-            ca.strideDen != cb.strideDen) {
-            return false;
-        }
     }
     return true;
 }

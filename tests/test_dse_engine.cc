@@ -5,12 +5,14 @@
  * reruns and thread counts — the Pareto-frontier objective must
  * return a valid frontier containing the argmin, and the
  * cross-candidate CostColumnCache must leave every result
- * bit-identical to a cold build.
+ * bit-identical to a cold build and refuse a second workload's
+ * layers.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "accel/accelerator.hh"
@@ -319,6 +321,48 @@ TEST_F(DseEngineTest, ColumnCacheBuildsBitIdenticalTables)
     // The duplicate second pass guarantees real hits happened.
     EXPECT_GT(cache.stats().hits, std::size_t{0});
     EXPECT_GT(cache.size(), std::size_t{0});
+}
+
+TEST_F(DseEngineTest, ColumnCacheBindsToLayerGeometry)
+{
+    // Two one-layer workloads share a unique-layer row count but not
+    // a layer: a column cached for the conv row must never be served
+    // as the FC row's cost. The cache binds to the first workload's
+    // per-row geometry and rejects the second.
+    dnn::Model conv_net("ConvNet");
+    conv_net.addLayer(dnn::makeConv("conv", 64, 64, 56, 56, 3, 3));
+    dnn::Model fc_net("FcNet");
+    fc_net.addLayer(dnn::makeFullyConnected("fc", 1000, 2048));
+    workload::Workload conv_wl("conv");
+    conv_wl.addModel(conv_net, 1);
+    workload::Workload fc_wl("fc");
+    fc_wl.addModel(fc_net, 1);
+
+    cost::CostModel model;
+    const accel::Accelerator acc = accel::Accelerator::makeHda(
+        accel::edgeClass(),
+        {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao}, {512, 512},
+        {8.0, 8.0});
+    const accel::RdaOverheads rda{};
+    sched::CostColumnCache cache;
+    sched::LayerCostTable::build(model, conv_wl, acc,
+                                 sched::Metric::Edp, rda, 1, &cache);
+    EXPECT_THROW(sched::LayerCostTable::build(model, fc_wl, acc,
+                                              sched::Metric::Edp, rda,
+                                              1, &cache),
+                 std::runtime_error);
+
+    // A workload with the same geometry under other names still
+    // shares the bound cache, and reads only hits.
+    dnn::Model renamed("Renamed");
+    renamed.addLayer(dnn::makeConv("other", 64, 64, 56, 56, 3, 3));
+    workload::Workload same_wl("same");
+    same_wl.addModel(renamed, 2);
+    const sched::CostColumnCache::Stats before = cache.stats();
+    sched::LayerCostTable::build(model, same_wl, acc,
+                                 sched::Metric::Edp, rda, 1, &cache);
+    EXPECT_EQ(cache.stats().hits, before.hits + 2);
+    EXPECT_EQ(cache.stats().misses, before.misses);
 }
 
 } // namespace

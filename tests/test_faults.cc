@@ -233,6 +233,29 @@ TEST_F(FaultTest, RandomTimelinesAreSeedDeterministic)
                  std::runtime_error);
 }
 
+TEST_F(FaultTest, RandomTimelinesArePinned)
+{
+    // Captured from the original generator: seeds must keep producing
+    // the same timelines whatever PRNG implementation backs random().
+    EXPECT_EQ(FaultTimeline::random(42, 4, 1e6).describe(),
+              "acc0: outage [292562, 317506)\n"
+              "acc0: permanent failure at 780379\n"
+              "acc1: outage [174167, 258255)\n"
+              "acc2: outage [172920, 206384)\n"
+              "acc2: throttle x1.68263 [482262, 626715)\n"
+              "acc2: throttle x1.6854 [783447, 884023)\n"
+              "acc3: outage [671422, 910881)\n");
+    EXPECT_EQ(FaultTimeline::random(7, 4, 1e6).describe(),
+              "acc0: outage [495491, 574308)\n"
+              "acc0: throttle x2.53285 [229654, 267107)\n"
+              "acc0: permanent failure at 875924\n"
+              "acc2: outage [277407, 377893)\n"
+              "acc2: outage [643724, 751417)\n"
+              "acc2: throttle x3.90082 [296641, 433971)\n"
+              "acc2: throttle x3.75461 [464354, 537269)\n"
+              "acc3: throttle x3.01693 [197812, 290284)\n");
+}
+
 TEST_F(FaultTest, FactoryFaultTimelineShape)
 {
     EXPECT_TRUE(sched::factoryFaultTimeline(2, 0, 1e6).empty());

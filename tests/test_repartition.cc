@@ -7,13 +7,15 @@
  * the BacklogSkew policy, determinism across reruns and prefill
  * thread counts, reconfiguration-event consistency (windows, epochs,
  * PE conservation, modeled penalty), the elastic-beats-static
- * guarantee on the shifting-load scenario, and timeline rendering of
- * reconfiguration windows (including mixed with fault overlays).
+ * guarantee on the shifting-load scenario, timeline rendering of
+ * reconfiguration windows (including mixed with fault overlays), and
+ * the epoch cost-table rebuild's bit-identity to a fresh build.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "sched/arrival_source.hh"
 #include "sched/fault_model.hh"
 #include "sched/herald_scheduler.hh"
+#include "sched/layer_cost_table.hh"
 #include "sched/online_scheduler.hh"
 #include "sched/reconfig.hh"
 #include "sched/reference_scheduler.hh"
@@ -124,6 +127,117 @@ class RepartitionTest : public ::testing::Test
 
     cost::CostModel model;
 };
+
+// ---------------------------------------------------------------
+// Epoch cost-table rebuild
+// ---------------------------------------------------------------
+
+/** Bit-for-bit equality of every entry and derived quantity. */
+void
+expectSameTable(const sched::LayerCostTable &want,
+                const sched::LayerCostTable &got, const Workload &wl)
+{
+    ASSERT_EQ(want.numUniqueLayers(), got.numUniqueLayers());
+    ASSERT_EQ(want.numSubAccs(), got.numSubAccs());
+    for (std::size_t row = 0; row < want.numUniqueLayers(); ++row) {
+        EXPECT_EQ(want.minCycles(row), got.minCycles(row)) << row;
+        for (std::size_t a = 0; a < want.numSubAccs(); ++a) {
+            EXPECT_EQ(want.cost(row, a).style, got.cost(row, a).style);
+            // LayerCost is all 8-byte scalars: no padding to compare.
+            EXPECT_EQ(std::memcmp(&want.cost(row, a).cost,
+                                  &got.cost(row, a).cost,
+                                  sizeof(cost::LayerCost)),
+                      0)
+                << row << "," << a;
+            EXPECT_EQ(want.metric(row, a), got.metric(row, a));
+            EXPECT_EQ(want.order(row)[a], got.order(row)[a]);
+        }
+    }
+    for (std::size_t uid = 0; uid < wl.numUniqueModels(); ++uid) {
+        const std::size_t n = wl.uniqueModel(uid).numLayers();
+        for (std::size_t l = 0; l <= n; ++l) {
+            EXPECT_EQ(want.remainingCycles(uid, l),
+                      got.remainingCycles(uid, l))
+                << uid << "," << l;
+        }
+    }
+}
+
+TEST_F(RepartitionTest, EpochRebuildEqualsFreshBuild)
+{
+    // Two models, 600 distinct rows: a two-column rebuild reaches the
+    // threaded fill's gate.
+    dnn::Model convs("WideConv");
+    for (std::uint64_t i = 0; i < 320; ++i) {
+        const std::uint64_t hw = 14 + i % 20;
+        convs.addLayer(dnn::makeConv("c" + std::to_string(i),
+                                     16 + 8 * (i % 16), 8 + 8 * (i % 5),
+                                     hw, hw, 3, 3));
+    }
+    dnn::Model fcs("WideFc");
+    for (std::uint64_t i = 0; i < 280; ++i) {
+        fcs.addLayer(dnn::makeFullyConnected("f" + std::to_string(i),
+                                             64 + 16 * i, 256));
+    }
+    Workload wl("wide");
+    wl.addModel(convs, 1);
+    wl.addModel(fcs, 2);
+
+    const Accelerator acc = Accelerator::makeHda(
+        accel::edgeClass(),
+        {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao,
+         DataflowStyle::Eyeriss},
+        {256, 512, 256}, {4.0, 8.0, 4.0});
+    sched::ReconfigDecision move;
+    move.migrate = true;
+    move.donor = 2;
+    move.receiver = 0;
+    move.movedPes = 128;
+    const Accelerator moved =
+        acc.withPartition(sched::planMigrationEpoch(acc, move, 1));
+    const sched::Metric metric = sched::Metric::Edp;
+    const accel::RdaOverheads rda{};
+    const sched::LayerCostTable fresh =
+        sched::LayerCostTable::build(model, wl, moved, metric, rda);
+    ASSERT_GE(fresh.numUniqueLayers() * 2,
+              sched::LayerCostTable::kMinParallelEvals);
+
+    const std::vector<std::vector<std::size_t>> column_sets = {
+        {0, 2}, {0, 1, 2}};
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        for (const std::vector<std::size_t> &columns : column_sets) {
+            SCOPED_TRACE(testing::Message()
+                         << threads << " threads, " << columns.size()
+                         << " columns");
+            sched::LayerCostTable table = sched::LayerCostTable::build(
+                model, wl, acc, metric, rda, threads);
+            table.rebuildColumns(model, wl, moved, metric, rda,
+                                 columns, threads);
+            expectSameTable(fresh, table, wl);
+        }
+    }
+
+    // The identity degraded view, as constructed and as rebuilt with
+    // nothing masked, reads exactly the table's bounds.
+    sched::LayerCostTable::DegradedView view(fresh);
+    for (int pass = 0; pass < 2; ++pass) {
+        if (pass == 1)
+            view.rebuild({0, 0, 0});
+        for (std::size_t uid = 0; uid < wl.numUniqueModels(); ++uid) {
+            const std::size_t n = wl.uniqueModel(uid).numLayers();
+            for (std::size_t l = 0; l <= n; ++l) {
+                EXPECT_EQ(view.remainingCycles(uid, l),
+                          fresh.remainingCycles(uid, l))
+                    << pass << ":" << uid << "," << l;
+                if (l < n) {
+                    const std::size_t row = fresh.rowOf(uid, l);
+                    EXPECT_EQ(view.minCycles(row),
+                              fresh.minCycles(row));
+                }
+            }
+        }
+    }
+}
 
 // ---------------------------------------------------------------
 // Option validation (satellite: contradictory combos rejected)
