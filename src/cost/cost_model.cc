@@ -45,6 +45,21 @@ CostModel::CostModel(EnergyModel energy_model, CostOptions options)
     validate(energy);
 }
 
+std::array<std::uint64_t, 10>
+CostModel::identity() const
+{
+    return {util::doubleBits(energy.macEnergy),
+            util::doubleBits(energy.l1Energy),
+            util::doubleBits(energy.l2Energy),
+            util::doubleBits(energy.dramEnergy),
+            util::doubleBits(energy.nocEnergyPerWord),
+            util::doubleBits(energy.staticPerPeCycle),
+            util::doubleBits(energy.nocHopReferencePes),
+            util::doubleBits(energy.unitPicojoules),
+            opts.forwardActivationsThroughL2 ? 1u : 0u,
+            opts.staticEnergy ? 1u : 0u};
+}
+
 std::array<std::uint64_t, 7>
 SubAccResources::identity() const
 {
@@ -103,15 +118,6 @@ CostModel::cacheSize() const
         total += shard.map.size();
     }
     return total;
-}
-
-void
-CostModel::clearCache()
-{
-    for (CacheShard &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.map.clear();
-    }
 }
 
 LayerCost
@@ -235,7 +241,7 @@ CostModel::evaluateMapping(const dataflow::Mapping &mapping,
         (static_cast<double>(staging_bytes) / 2.0) / bw_bytes_cycle;
     cost.cycles =
         std::max({cost.computeCycles, cost.nocCycles, cost.dramCycles}) +
-        fill_cycles + opts.layerOverheadCycles;
+        fill_cycles + kLayerOverheadCycles;
     cost.latencySec = cost.cycles / (res.clockGHz * 1e9);
 
     // --- Energy ---

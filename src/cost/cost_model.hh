@@ -72,11 +72,12 @@ struct SubAccResources
     }
 };
 
+/** Fixed per-layer control/configuration overhead (cycles). */
+inline constexpr double kLayerOverheadCycles = 500.0;
+
 /** Behavioral knobs of the cost model. */
 struct CostOptions
 {
-    /** Fixed per-layer control/configuration overhead (cycles). */
-    double layerOverheadCycles = 500.0;
     /**
      * Activations are forwarded producer->consumer through the global
      * buffer when they fit (paper execution model step 7); when off,
@@ -176,9 +177,7 @@ struct CostCacheKeyHash
  * by value so callers never hold references into a concurrently
  * mutated map. Misses compute outside the shard lock; on an insert
  * race the first writer wins (both threads computed the identical
- * pure-function result, so this stays deterministic). clearCache()
- * must not race with concurrent evaluate() callers that expect a
- * consistent cacheSize().
+ * pure-function result, so this stays deterministic).
  */
 class CostModel
 {
@@ -198,9 +197,16 @@ class CostModel
     const EnergyModel &energyModel() const { return energy; }
     const CostOptions &options() const { return opts; }
 
+    /**
+     * Every EnergyModel coefficient (bit pattern) and CostOptions
+     * flag, in one fixed order: what an evaluation depends on beyond
+     * its (layer, style, resources) key. Caches that outlive one
+     * CostModel bind to it.
+     */
+    std::array<std::uint64_t, 10> identity() const;
+
     /** Number of distinct (layer, style, resource) keys cached. */
     std::size_t cacheSize() const;
-    void clearCache();
 
   private:
     static constexpr std::size_t kCacheShards = 16;

@@ -49,13 +49,6 @@ struct TensorTraffic
     {
         return unionTileElems * refetch;
     }
-
-    /** Total words delivered into PE register files. */
-    std::uint64_t
-    rfFillWords() const
-    {
-        return sumTileElems * refetch;
-    }
 };
 
 /** Full reuse report for a mapping. */

@@ -51,8 +51,9 @@ const char *toString(SearchStrategy strategy);
 /**
  * Simulated-annealing parameters (SearchStrategy::Annealing). The
  * schedule is geometric: iteration i of every chain runs at
- * temperature initialTemp * cooling^i, and a worse proposal with
- * relative regression r is accepted with probability exp(-r / T).
+ * temperature 0.10 * 0.97^i (kAnnealInitialTemp, kAnnealCooling in
+ * herald_dse.cc), and a worse proposal with relative regression r is
+ * accepted with probability exp(-r / T).
  * All randomness flows from per-chain SplitMix64 streams derived
  * from PartitionSpaceOptions::seed, so a run is a pure function of
  * (workload, chip, options) — independent of HERALD_THREADS.
@@ -70,10 +71,6 @@ struct AnnealingOptions
      * evaluations may land past it.
      */
     std::size_t maxEvaluations = 0;
-    /** Initial temperature, relative to the current objective. */
-    double initialTemp = 0.10;
-    /** Geometric cooling factor per iteration, in (0, 1]. */
-    double cooling = 0.97;
 };
 
 /** Partition-space generation parameters. */

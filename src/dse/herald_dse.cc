@@ -19,6 +19,11 @@ namespace herald::dse
 namespace
 {
 
+/** Annealing temperature at iteration 0, relative to the objective. */
+constexpr double kAnnealInitialTemp = 0.10;
+/** Geometric cooling factor per annealing iteration. */
+constexpr double kAnnealCooling = 0.97;
+
 /**
  * Canonical key of a partition candidate for duplicate detection.
  * Bandwidth shares are quantized to 2^-20 GB/s so grid points that
@@ -304,9 +309,6 @@ Herald::explore(const workload::Workload &wl,
         if (ann.chains == 0)
             util::fatal("Herald::explore: annealing needs >= 1 "
                         "chain");
-        if (!(ann.cooling > 0.0 && ann.cooling <= 1.0))
-            util::fatal("Herald::explore: annealing cooling must be "
-                        "in (0, 1]");
 
         // Candidate-level memo: revisiting a (peSplit, bwSplit)
         // point is free and appends no new DsePoint, so "distinct
@@ -356,8 +358,8 @@ Herald::explore(const workload::Workload &wl,
                 memo.size() >= ann.maxEvaluations)
                 break;
             const double temp =
-                ann.initialTemp *
-                std::pow(ann.cooling, static_cast<double>(it));
+                kAnnealInitialTemp *
+                std::pow(kAnnealCooling, static_cast<double>(it));
             std::vector<PartitionCandidate> prop(ann.chains);
             for (std::size_t c = 0; c < ann.chains; ++c) {
                 prop[c] = neighborCandidate(cur[c], chip.numPes,

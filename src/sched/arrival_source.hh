@@ -71,7 +71,6 @@ class ArrivalSource
                           double phase_cycles = 0.0,
                           std::uint64_t frames = kUnboundedFrames);
 
-    std::size_t numStreams() const { return streamList.size(); }
     const std::vector<Stream> &streams() const { return streamList; }
 
     /** Stream models in stream order (OnlineScheduler's model set). */

@@ -101,10 +101,22 @@ FaultTimeline::addThrottle(std::size_t acc, double begin_cycle,
     thr.insert(it, w);
 }
 
+// Shape of FaultTimeline::random() (fractions are of the horizon).
+constexpr double kOutageProb = 0.75; // per sub-acc: any outages at all
+constexpr std::uint64_t kMaxOutagesPerAcc = 2;
+constexpr double kMinOutageFraction = 0.02;
+constexpr double kMaxOutageFraction = 0.15;
+constexpr double kThrottleProb = 0.5; // per sub-acc: any throttles
+constexpr std::uint64_t kMaxThrottlesPerAcc = 2;
+constexpr double kMinThrottleFactor = 1.5;
+constexpr double kMaxThrottleFactor = 4.0;
+// Per sub-acc chance of a permanent failure in [0.3, 0.9) of the
+// horizon (one seed-chosen sub-accelerator is always exempt).
+constexpr double kPermanentFailureProb = 0.25;
+
 FaultTimeline
 FaultTimeline::random(std::uint64_t seed, std::size_t n_sub_accs,
-                      double horizon_cycles,
-                      const RandomFaultOptions &opts)
+                      double horizon_cycles)
 {
     if (n_sub_accs == 0)
         util::fatal("fault timeline: random() needs >= 1 sub-acc");
@@ -119,26 +131,22 @@ FaultTimeline::random(std::uint64_t seed, std::size_t n_sub_accs,
     const std::size_t spared = rng.nextBounded(n_sub_accs);
 
     for (std::size_t a = 0; a < n_sub_accs; ++a) {
-        if (rng.nextDouble() < opts.outageProb &&
-            opts.maxOutagesPerAcc > 0) {
-            const int n = 1 + static_cast<int>(rng.nextBounded(
-                                  static_cast<std::uint64_t>(
-                                      opts.maxOutagesPerAcc)));
+        if (rng.nextDouble() < kOutageProb) {
+            const int n = 1 + static_cast<int>(
+                                  rng.nextBounded(kMaxOutagesPerAcc));
             for (int i = 0; i < n; ++i) {
                 double begin = rng.nextDouble() * 0.85 *
                                horizon_cycles;
                 double frac =
-                    opts.minOutageFraction +
-                    rng.nextDouble() * (opts.maxOutageFraction -
-                                        opts.minOutageFraction);
+                    kMinOutageFraction +
+                    rng.nextDouble() * (kMaxOutageFraction -
+                                        kMinOutageFraction);
                 tl.addOutage(a, begin, frac * horizon_cycles);
             }
         }
-        if (rng.nextDouble() < opts.throttleProb &&
-            opts.maxThrottlesPerAcc > 0) {
-            const int n = 1 + static_cast<int>(rng.nextBounded(
-                                  static_cast<std::uint64_t>(
-                                      opts.maxThrottlesPerAcc)));
+        if (rng.nextDouble() < kThrottleProb) {
+            const int n = 1 + static_cast<int>(
+                                  rng.nextBounded(kMaxThrottlesPerAcc));
             // Throttles are laid out left to right in disjoint
             // lanes: each picks a begin inside [prev_end, horizon).
             double lane = 0.0;
@@ -146,21 +154,21 @@ FaultTimeline::random(std::uint64_t seed, std::size_t n_sub_accs,
                 double begin =
                     lane +
                     rng.nextDouble() * (horizon_cycles - lane) * 0.7;
-                double dur = (opts.minOutageFraction +
+                double dur = (kMinOutageFraction +
                               rng.nextDouble() *
-                                  (opts.maxOutageFraction -
-                                   opts.minOutageFraction)) *
+                                  (kMaxOutageFraction -
+                                   kMinOutageFraction)) *
                              horizon_cycles;
                 double factor =
-                    opts.minThrottleFactor +
-                    rng.nextDouble() * (opts.maxThrottleFactor -
-                                        opts.minThrottleFactor);
+                    kMinThrottleFactor +
+                    rng.nextDouble() * (kMaxThrottleFactor -
+                                        kMinThrottleFactor);
                 tl.addThrottle(a, begin, dur, factor);
                 lane = begin + dur;
             }
         }
         if (a != spared &&
-            rng.nextDouble() < opts.permanentFailureProb) {
+            rng.nextDouble() < kPermanentFailureProb) {
             tl.addPermanentFailure(
                 a, (0.3 + 0.6 * rng.nextDouble()) * horizon_cycles);
         }

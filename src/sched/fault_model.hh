@@ -58,25 +58,6 @@ struct ThrottleWindow
     double factor = 1.0; //!< > 1; sampled at a layer's start cycle
 };
 
-/** Knobs of FaultTimeline::random() (fractions are of the horizon). */
-struct RandomFaultOptions
-{
-    double outageProb = 0.75; //!< per sub-acc: any outages at all
-    int maxOutagesPerAcc = 2;
-    double minOutageFraction = 0.02;
-    double maxOutageFraction = 0.15;
-    double throttleProb = 0.5; //!< per sub-acc: any throttles at all
-    int maxThrottlesPerAcc = 2;
-    double minThrottleFactor = 1.5;
-    double maxThrottleFactor = 4.0;
-    /**
-     * Per sub-acc chance of a permanent failure in [0.3, 0.9) of the
-     * horizon. One seed-chosen sub-accelerator is always exempt, so
-     * a random timeline never kills the whole chip.
-     */
-    double permanentFailureProb = 0.25;
-};
-
 /** See file comment. */
 class FaultTimeline
 {
@@ -106,15 +87,16 @@ class FaultTimeline
                      double duration_cycles, double factor);
 
     /**
-     * Seeded random timeline over [0, horizon). Bit-identical for
-     * the same (seed, n_sub_accs, horizon, opts) on every platform:
-     * the generator is a self-contained splitmix64 stream, not a
-     * std:: distribution.
+     * Seeded random timeline over [0, horizon): per sub-accelerator
+     * up to two outages, up to two throttles and maybe a permanent
+     * failure, with one seed-chosen sub-accelerator always spared
+     * the failure. Bit-identical for the same (seed, n_sub_accs,
+     * horizon) on every platform: the generator is a self-contained
+     * splitmix64 stream, not a std:: distribution.
      */
     static FaultTimeline random(std::uint64_t seed,
                                 std::size_t n_sub_accs,
-                                double horizon_cycles,
-                                const RandomFaultOptions &opts = {});
+                                double horizon_cycles);
 
     /** True when no fault of any kind is recorded. */
     bool empty() const;

@@ -65,10 +65,18 @@ CostColumnCache::insert(const Key &key, Column column)
 }
 
 void
-CostColumnCache::bind(const workload::Workload &wl)
+CostColumnCache::bind(const workload::Workload &wl,
+                      const cost::CostModel &model)
 {
     std::lock_guard<std::mutex> lock(mutex);
     const bool first = rowGeometry.empty();
+    if (first)
+        modelIdentity = model.identity();
+    else if (modelIdentity != model.identity())
+        util::fatal("cost column cache: bound to one cost model's "
+                    "options and energy coefficients, asked to build "
+                    "with another — one cache instance serves one "
+                    "cost model");
     bool same = true;
     std::size_t row = 0;
     for (std::size_t u = 0; u < wl.numUniqueModels(); ++u) {
@@ -95,29 +103,19 @@ LayerCostTable::DegradedView::DegradedView(const LayerCostTable &t)
 }
 
 void
-LayerCostTable::DegradedView::rebuild(
-    const std::vector<char> &dead, const std::vector<double> &scale)
+LayerCostTable::DegradedView::rebuild(const std::vector<char> &dead)
 {
     const std::size_t n_acc = table->nAcc;
-    if (dead.size() != n_acc ||
-        (!scale.empty() && scale.size() != n_acc))
-        util::fatal("degraded view: mask/scale arity mismatch");
-    for (std::size_t a = 0; a < n_acc; ++a) {
-        if (!scale.empty() && scale[a] < 1.0)
-            util::fatal("degraded view: scale factors must be >= 1");
-    }
+    if (dead.size() != n_acc)
+        util::fatal("degraded view: mask arity mismatch");
 
     constexpr double inf = std::numeric_limits<double>::infinity();
     for (std::size_t row = 0; row < minCycDeg.size(); ++row) {
         double best = inf;
         for (std::size_t a = 0; a < n_acc; ++a) {
-            if (dead[a])
-                continue;
-            double cycles =
-                table->entries[row * n_acc + a].cost.cycles;
-            if (!scale.empty())
-                cycles *= scale[a];
-            best = std::min(best, cycles);
+            if (!dead[a])
+                best = std::min(
+                    best, table->entries[row * n_acc + a].cost.cycles);
         }
         minCycDeg[row] = best;
     }
@@ -173,7 +171,7 @@ LayerCostTable::build(cost::CostModel &model,
     std::vector<std::size_t> missing;
     std::vector<CostColumnCache::Key> keys(table.nAcc);
     if (cache != nullptr)
-        cache->bind(wl);
+        cache->bind(wl, model);
     for (std::size_t a = 0; a < table.nAcc; ++a) {
         const CostColumnCache::Column *column = nullptr;
         if (cache != nullptr) {

@@ -48,11 +48,12 @@ namespace herald::sched
  * accelerator's dataflow style (or flexibility), its resource
  * identity (cost::SubAccResources::identity(), the same one the
  * CostModel keys on), and the RDA overhead coefficients. The
- * workload's unique-layer set is deliberately NOT part of the key: a
- * cache instance is bound on first use to one workload's row
- * geometry (each row's dnn::CanonicalConv::identity(); fatal on a
- * later mismatch) and shared across the many accelerator candidates
- * the DSE schedules against that workload.
+ * workload's unique-layer set and the CostModel's coefficients are
+ * deliberately NOT part of the key: a cache instance is bound on
+ * first use to one workload's row geometry (each row's
+ * dnn::CanonicalConv::identity()) and one cost::CostModel::identity()
+ * (fatal on a later mismatch of either) and shared across the many
+ * accelerator candidates the DSE schedules against that workload.
  *
  * Why columns and not per-layer costs: the CostModel already
  * memoizes per-(layer, style, resources) evaluations, but a table
@@ -108,16 +109,20 @@ class CostColumnCache
     void insert(const Key &key, Column column);
 
     /**
-     * Bind the cache to @p wl's unique-layer geometry on first use;
-     * fatal when a later build disagrees — sharing one cache across
-     * workloads would silently serve wrong-layer columns.
+     * Bind the cache to @p wl's unique-layer geometry and @p model's
+     * identity on first use; fatal when a later build disagrees —
+     * sharing one cache across workloads or cost models would
+     * silently serve wrong columns.
      */
-    void bind(const workload::Workload &wl);
+    void bind(const workload::Workload &wl,
+              const cost::CostModel &model);
 
     mutable std::mutex mutex;
     std::map<Key, Column> columns;
     /** Per-row dnn::CanonicalConv::identity(); empty until bound. */
     std::vector<std::array<std::uint64_t, 9>> rowGeometry;
+    /** cost::CostModel::identity(); meaningful once bound. */
+    std::array<std::uint64_t, 10> modelIdentity{};
     Stats counts;
 };
 
@@ -231,14 +236,14 @@ class LayerCostTable
 
     /**
      * Degraded-capacity view: the optimistic per-row minimum and the
-     * remaining-work suffix sums recomputed with sub-accelerator
-     * columns masked out (permanently failed) and/or scaled
-     * (throttled). The doom/hopeless feasibility proofs re-prove
-     * against this once capacity is lost — the pristine table's
-     * "best sub-accelerator" lower bound is no longer a bound when
-     * that sub-accelerator is dead. Rows with every column masked
-     * report +infinity (no continuation exists). The view borrows
-     * the table; rebuild() is O(rows x sub-accs).
+     * remaining-work suffix sums recomputed with permanently failed
+     * sub-accelerator columns masked out. The doom/hopeless
+     * feasibility proofs re-prove against this once capacity is
+     * lost — the pristine table's "best sub-accelerator" lower
+     * bound is no longer a bound when that sub-accelerator is dead.
+     * Rows with every column masked report +infinity (no
+     * continuation exists). The view borrows the table; rebuild() is
+     * O(rows x sub-accs).
      */
     class DegradedView
     {
@@ -246,13 +251,8 @@ class LayerCostTable
         /** Identity view (equals the pristine table). */
         explicit DegradedView(const LayerCostTable &table);
 
-        /**
-         * Recompute with column @p a removed when dead[a] != 0 and
-         * cycles multiplied by scale[a] otherwise. @p scale may be
-         * empty (all 1); factors must be >= 1.
-         */
-        void rebuild(const std::vector<char> &dead,
-                     const std::vector<double> &scale = {});
+        /** Recompute with column @p a removed when dead[a] != 0. */
+        void rebuild(const std::vector<char> &dead);
 
         /** Degraded counterpart of LayerCostTable::minCycles. */
         double minCycles(std::size_t row) const

@@ -135,7 +135,7 @@ OnlineScheduler::bind(cost::CostModel &cost_model,
     if (reconfig) {
         reconfigCostModel = &cost_model;
         baseAcc = std::make_unique<accel::Accelerator>(acc);
-        reconfigPolicy = makeReconfigPolicy(opts.sched.reconfig);
+        reconfigPolicy.emplace(opts.sched.reconfig);
         peSplit.reserve(nAcc);
         for (const accel::SubAccelerator &sub : acc.subAccs())
             peSplit.push_back(sub.numPes);
@@ -368,6 +368,14 @@ OnlineScheduler::refreshDegraded(double floor)
     if (!changed)
         return;
     runView->rebuild(deadMask);
+    rekeyDoomSet();
+}
+
+// Recompute every doom-set member's key against the current run-time
+// remaining-work bounds (after the run view or active table changed).
+void
+OnlineScheduler::rekeyDoomSet()
+{
     std::set<std::pair<double, std::size_t>> rekeyed;
     for (const auto &entry : doomSet) {
         const std::size_t idx = entry.second;
@@ -953,17 +961,7 @@ OnlineScheduler::maybeReconfigure()
         if (any_dead)
             runView->rebuild(deadMask);
     }
-    if (doomDrop) {
-        std::set<std::pair<double, std::size_t>> rekeyed;
-        for (const auto &entry : doomSet) {
-            const std::size_t idx = entry.second;
-            Frame &f = frameAt(idx);
-            f.doomKey =
-                f.deadline - remCyclesRun(f.uid, f.nextLayer);
-            rekeyed.emplace(f.doomKey, idx);
-        }
-        doomSet.swap(rekeyed);
-    }
+    rekeyDoomSet();
 
     accAvail[d.donor] = window_end;
     accAvail[d.receiver] = window_end;

@@ -57,6 +57,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -368,7 +369,7 @@ class OnlineScheduler
     std::unique_ptr<accel::Accelerator> baseAcc;
     std::unique_ptr<accel::Accelerator> epochAcc;
     std::unique_ptr<LayerCostTable> epochTable;
-    std::unique_ptr<ReconfigPolicy> reconfigPolicy;
+    std::optional<BacklogSkewPolicy> reconfigPolicy;
     std::vector<std::uint64_t> peSplit;
     std::uint64_t nextEpochId = 0;
     /**
@@ -465,6 +466,7 @@ class OnlineScheduler
     double retirementFloor() const;
     bool doomedNow(std::size_t idx, double now_floor) const;
     void refreshDegraded(double floor);
+    void rekeyDoomSet();
     void dropLive(std::size_t idx);
     void releaseInst(std::size_t idx);
     void releaseUpTo(double frontier);

@@ -93,19 +93,6 @@ BacklogSkewPolicy::onMigration(double window_end)
     cooldownUntil = window_end + opts.cooldownCycles;
 }
 
-std::unique_ptr<ReconfigPolicy>
-makeReconfigPolicy(const ReconfigOptions &options)
-{
-    switch (options.policy) {
-      case Reconfig::Off:
-        util::fatal("makeReconfigPolicy: Reconfig::Off has no policy "
-                    "object");
-      case Reconfig::BacklogSkew:
-        return std::make_unique<BacklogSkewPolicy>(options);
-    }
-    util::panic("unknown Reconfig");
-}
-
 accel::PartitionEpoch
 planMigrationEpoch(const accel::Accelerator &acc,
                    const ReconfigDecision &decision,

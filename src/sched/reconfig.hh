@@ -1,16 +1,16 @@
 /**
  * @file
- * Pluggable runtime-repartitioning policies for the scheduler.
+ * Runtime repartitioning for the scheduler.
  *
  * Herald freezes the sub-accelerator partition per DSE candidate;
  * under shifting multi-tenant load that frozen split strands
  * capacity on whichever sub-accelerator the light tenant prefers. A
- * ReconfigPolicy is evaluated at the dispatch loop's layer-boundary
- * hook (the same point preemption re-selects): when the committed
- * completion-frontier skew between sub-accelerators crosses a
- * threshold, it plans a PE/bandwidth/buffer migration from the
- * under-loaded donor to the backlogged receiver. The migration is a
- * short planned outage on both parties — in-flight layers drain to
+ * BacklogSkewPolicy is evaluated at the dispatch loop's
+ * layer-boundary hook (the same point preemption re-selects): when
+ * the committed completion-frontier skew between sub-accelerators
+ * crosses a threshold, it plans a PE/bandwidth/buffer migration from
+ * the under-loaded donor to the backlogged receiver. The migration is
+ * a short planned outage on both parties — in-flight layers drain to
  * completion (the window starts at both frontiers' max), the window
  * costs a modeled drain + rewire penalty, and afterwards a new
  * accel::PartitionEpoch is in force and only the donor/receiver
@@ -28,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "accel/accelerator.hh"
@@ -106,54 +105,37 @@ struct ReconfigDecision
 };
 
 /**
- * One repartitioning policy instance, bound to a single scheduling
- * run (its cooldown state is part of the schedule's determinism).
- */
-class ReconfigPolicy
-{
-  public:
-    virtual ~ReconfigPolicy() = default;
-
-    /**
-     * Decide on a migration from committed state only: @p acc_avail
-     * is the per-sub-accelerator completion frontier, @p pe_split
-     * the live PE allocation. Must be pure (no state change here;
-     * cooldown updates happen in onMigration).
-     */
-    virtual ReconfigDecision
-    evaluate(const std::vector<double> &acc_avail,
-             const std::vector<std::uint64_t> &pe_split) const = 0;
-
-    /** The planned migration committed; its window ends at @p end. */
-    virtual void onMigration(double window_end) = 0;
-};
-
-/**
  * BacklogSkew: when max(frontier) - min(frontier) exceeds the
  * threshold, the least-loaded sub-accelerator donates
  * min(quantum, donor PEs - 1) PEs to the most-loaded one (strict
  * comparisons, so ties resolve to the lowest index on both ends).
  * A cooldown suppresses re-firing until the max frontier passes the
- * last window's end plus cooldownCycles.
+ * last window's end plus cooldownCycles. One instance is bound to a
+ * single scheduling run (its cooldown state is part of the
+ * schedule's determinism).
  */
-class BacklogSkewPolicy final : public ReconfigPolicy
+class BacklogSkewPolicy
 {
   public:
     explicit BacklogSkewPolicy(const ReconfigOptions &options);
+
+    /**
+     * Decide on a migration from committed state only: @p acc_avail
+     * is the per-sub-accelerator completion frontier, @p pe_split
+     * the live PE allocation. Pure: cooldown updates happen in
+     * onMigration().
+     */
     ReconfigDecision
     evaluate(const std::vector<double> &acc_avail,
-             const std::vector<std::uint64_t> &pe_split)
-        const override;
-    void onMigration(double window_end) override;
+             const std::vector<std::uint64_t> &pe_split) const;
+
+    /** The planned migration committed; its window ends at @p end. */
+    void onMigration(double window_end);
 
   private:
     ReconfigOptions opts;
     double cooldownUntil = 0.0;
 };
-
-/** Build the policy for one run (fatal on Reconfig::Off). */
-std::unique_ptr<ReconfigPolicy>
-makeReconfigPolicy(const ReconfigOptions &options);
 
 /**
  * The successor epoch a committed @p decision produces on @p acc's

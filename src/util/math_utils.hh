@@ -6,41 +6,12 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace herald::util
 {
 
 /** Ceiling division for unsigned integers; ceilDiv(x, 0) panics. */
 std::uint64_t ceilDiv(std::uint64_t num, std::uint64_t den);
-
-/** Round @p value up to the next multiple of @p mult (mult > 0). */
-std::uint64_t roundUp(std::uint64_t value, std::uint64_t mult);
-
-/** All positive divisors of @p value in ascending order. */
-std::vector<std::uint64_t> divisors(std::uint64_t value);
-
-/**
- * The largest divisor of @p value that is <= @p bound, or 1 when no
- * divisor fits. Used to pick spatial tile sizes that divide a layer
- * dimension evenly whenever possible.
- */
-std::uint64_t largestDivisorAtMost(std::uint64_t value,
-                                   std::uint64_t bound);
-
-/**
- * Factor @p pes into (a, b) with a*b <= pes, a <= boundA, b <= boundB,
- * maximizing a*b and secondarily balancing the two factors. Used for
- * two-dimensional spatial partitioning (e.g. K x C or Y x X).
- */
-struct FactorPair
-{
-    std::uint64_t first;
-    std::uint64_t second;
-};
-
-FactorPair bestFactorPair(std::uint64_t pes, std::uint64_t bound_a,
-                          std::uint64_t bound_b);
 
 /** Integer floor of sqrt. */
 std::uint64_t isqrt(std::uint64_t value);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.hh"
-
 namespace herald::util
 {
 
@@ -69,19 +67,6 @@ paretoFront(std::vector<DesignPoint> points)
     for (std::size_t idx : paretoFrontIndices(points))
         out.push_back(points[idx]);
     return out;
-}
-
-std::size_t
-minEdpIndex(const std::vector<DesignPoint> &points)
-{
-    if (points.empty())
-        panic("minEdpIndex on empty point set");
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < points.size(); ++i) {
-        if (points[i].edp() < points[best].edp())
-            best = i;
-    }
-    return best;
 }
 
 } // namespace herald::util

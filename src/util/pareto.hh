@@ -79,7 +79,4 @@ std::vector<DesignPoint> paretoFront(std::vector<DesignPoint> points);
 std::vector<std::size_t>
 paretoFrontIndices(const std::vector<DesignPoint> &points);
 
-/** Index of the point with minimal EDP; panics on empty input. */
-std::size_t minEdpIndex(const std::vector<DesignPoint> &points);
-
 } // namespace herald::util

@@ -55,18 +55,6 @@ Table::print(std::ostream &os) const
         print_row(row);
 }
 
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto print_row = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c)
-            os << row[c] << (c + 1 == row.size() ? "\n" : ",");
-    };
-    print_row(headers);
-    for (const auto &row : rows)
-        print_row(row);
-}
-
 std::string
 fmtDouble(double value, int digits)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Minimal aligned-column table printer used by the benchmark binaries
- * to emit paper-style tables, plus a CSV writer for plot series.
+ * to emit paper-style tables.
  */
 
 #pragma once
@@ -29,9 +29,6 @@ class Table
 
     /** Render with padded columns and a header underline. */
     void print(std::ostream &os) const;
-
-    /** Render as CSV (for plotting scripts). */
-    void printCsv(std::ostream &os) const;
 
     /** Number of data rows added so far. */
     std::size_t numRows() const { return rows.size(); }

@@ -190,7 +190,7 @@ TEST_F(CostModelTest, LatencyIsRooflinePlusFillPlusOverhead)
     EXPECT_NEAR(c.cycles,
                 std::max({c.computeCycles, c.nocCycles,
                           c.dramCycles}) +
-                    fill + model.options().layerOverheadCycles,
+                    fill + cost::kLayerOverheadCycles,
                 1e-9);
 }
 

@@ -6,7 +6,7 @@
  * return a valid frontier containing the argmin, and the
  * cross-candidate CostColumnCache must leave every result
  * bit-identical to a cold build and refuse a second workload's
- * layers.
+ * layers or a second cost model's coefficients.
  */
 
 #include <gtest/gtest.h>
@@ -142,6 +142,27 @@ TEST_F(DseEngineTest, DifferentSeedsYieldValidFrontiers)
             best_on_front = best_on_front || i == result.bestIdx;
         EXPECT_TRUE(best_on_front) << "seed " << seed;
     }
+}
+
+TEST_F(DseEngineTest, AnnealingOutputIsPinned)
+{
+    // Seeded annealing on the 2-way edge grid, pinned exactly. The
+    // walk is long enough that nudging either temperature constant
+    // (kAnnealInitialTemp 0.10 -> 0.11, kAnnealCooling 0.97 -> 0.96
+    // or 0.98) changes the visited set or the best index.
+    cost::CostModel model;
+    dse::HeraldOptions opts = annealingOptions(1, 1);
+    opts.partition.annealing.iterations = 40;
+    opts.objective = dse::Objective::Edp;
+    dse::Herald herald(model, opts);
+    workload::Workload wl = miniWorkload();
+    const dse::DseResult result = herald.explore(
+        wl, accel::edgeClass(),
+        {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao});
+    EXPECT_EQ(result.points.size(), 27u);
+    EXPECT_EQ(result.bestIdx, 19u);
+    EXPECT_EQ(result.best().summary.latencySec, 0x1.000051e941e9dp-7);
+    EXPECT_EQ(result.best().summary.energyMj, 0x1.8f74060a67e5ep+2);
 }
 
 TEST_F(DseEngineTest, AnnealingFindsExhaustiveOptimumOnTinyGrid)
@@ -361,6 +382,48 @@ TEST_F(DseEngineTest, ColumnCacheBindsToLayerGeometry)
     const sched::CostColumnCache::Stats before = cache.stats();
     sched::LayerCostTable::build(model, same_wl, acc,
                                  sched::Metric::Edp, rda, 1, &cache);
+    EXPECT_EQ(cache.stats().hits, before.hits + 2);
+    EXPECT_EQ(cache.stats().misses, before.misses);
+}
+
+TEST_F(DseEngineTest, ColumnCacheBindsToCostModel)
+{
+    // A column is a function of the CostModel's options and energy
+    // coefficients too: without static energy every entry's energy
+    // differs. A cache filled under the default model must refuse to
+    // serve a build under another model.
+    const workload::Workload wl = workload::arvrA();
+    const accel::Accelerator acc = accel::Accelerator::makeHda(
+        accel::edgeClass(),
+        {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao}, {512, 512},
+        {8.0, 8.0});
+    const accel::RdaOverheads rda{};
+    sched::CostColumnCache cache;
+    cost::CostModel model;
+    sched::LayerCostTable::build(model, wl, acc, sched::Metric::Edp,
+                                 rda, 1, &cache);
+
+    cost::CostOptions no_static;
+    no_static.staticEnergy = false;
+    cost::CostModel other(cost::EnergyModel{}, no_static);
+    EXPECT_THROW(sched::LayerCostTable::build(other, wl, acc,
+                                              sched::Metric::Edp, rda,
+                                              1, &cache),
+                 std::runtime_error);
+    cost::EnergyModel hot;
+    hot.staticPerPeCycle *= 2.0;
+    cost::CostModel hotter(hot);
+    EXPECT_THROW(sched::LayerCostTable::build(hotter, wl, acc,
+                                              sched::Metric::Edp, rda,
+                                              1, &cache),
+                 std::runtime_error);
+
+    // A distinct CostModel with identical coefficients shares the
+    // bound cache and reads only hits.
+    cost::CostModel twin;
+    const sched::CostColumnCache::Stats before = cache.stats();
+    sched::LayerCostTable::build(twin, wl, acc, sched::Metric::Edp,
+                                 rda, 1, &cache);
     EXPECT_EQ(cache.stats().hits, before.hits + 2);
     EXPECT_EQ(cache.stats().misses, before.misses);
 }

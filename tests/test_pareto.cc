@@ -9,10 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <stdexcept>
 #include <vector>
 
-#include "util/logging.hh"
 #include "util/pareto.hh"
 
 namespace
@@ -20,7 +18,6 @@ namespace
 
 using herald::util::DesignPoint;
 using herald::util::dominates;
-using herald::util::minEdpIndex;
 using herald::util::paretoFront;
 using herald::util::paretoFrontIndices;
 
@@ -181,19 +178,6 @@ TEST(ParetoTest, FrontIndicesMatchFrontAndCollapseDuplicates)
     ASSERT_EQ(idx.size(), 2u);
     EXPECT_EQ(idx[0], 1u);
     EXPECT_EQ(idx[1], 0u);
-}
-
-TEST(ParetoTest, MinEdpIndexPicksProductMinimum)
-{
-    // EDPs: 8.0, 4.5, 6.0 — the middle point wins even though it is
-    // best in neither single axis.
-    const std::vector<DesignPoint> points = {
-        pt(2.0, 4.0), pt(3.0, 1.5), pt(1.0, 6.0)};
-    EXPECT_EQ(minEdpIndex(points), 1u);
-    // First minimum wins ties.
-    EXPECT_EQ(minEdpIndex({pt(2.0, 2.0), pt(4.0, 1.0)}), 0u);
-    // Empty input is an internal error, not index 0.
-    EXPECT_THROW(minEdpIndex({}), std::logic_error);
 }
 
 } // namespace

@@ -39,71 +39,6 @@ TEST(CeilDiv, ZeroDenominatorPanics)
     EXPECT_THROW(ceilDiv(4, 0), std::logic_error);
 }
 
-TEST(RoundUp, Basic)
-{
-    EXPECT_EQ(roundUp(13, 4), 16u);
-    EXPECT_EQ(roundUp(16, 4), 16u);
-    EXPECT_EQ(roundUp(0, 4), 0u);
-}
-
-TEST(Divisors, Twelve)
-{
-    std::vector<std::uint64_t> expect{1, 2, 3, 4, 6, 12};
-    EXPECT_EQ(divisors(12), expect);
-}
-
-TEST(Divisors, Prime)
-{
-    std::vector<std::uint64_t> expect{1, 13};
-    EXPECT_EQ(divisors(13), expect);
-}
-
-TEST(Divisors, One)
-{
-    std::vector<std::uint64_t> expect{1};
-    EXPECT_EQ(divisors(1), expect);
-}
-
-TEST(LargestDivisorAtMost, Basic)
-{
-    EXPECT_EQ(largestDivisorAtMost(12, 5), 4u);
-    EXPECT_EQ(largestDivisorAtMost(12, 12), 12u);
-    EXPECT_EQ(largestDivisorAtMost(13, 6), 1u);
-}
-
-TEST(BestFactorPair, SaturatesBudget)
-{
-    // 256 PEs, bounds 64 x 64: should find a full 256 product.
-    FactorPair fp = bestFactorPair(256, 64, 64);
-    EXPECT_EQ(fp.first * fp.second, 256u);
-    EXPECT_LE(fp.first, 64u);
-    EXPECT_LE(fp.second, 64u);
-}
-
-TEST(BestFactorPair, BoundLimited)
-{
-    // Bounds 3 x 3 cap the product at 9 regardless of PE budget.
-    FactorPair fp = bestFactorPair(256, 3, 3);
-    EXPECT_EQ(fp.first, 3u);
-    EXPECT_EQ(fp.second, 3u);
-}
-
-TEST(BestFactorPair, OneSidedBound)
-{
-    FactorPair fp = bestFactorPair(16, 16, 1);
-    EXPECT_EQ(fp.first, 16u);
-    EXPECT_EQ(fp.second, 1u);
-}
-
-TEST(BestFactorPair, PrefersBalance)
-{
-    // 16 PEs with generous bounds: 4x4 beats 16x1 on balance.
-    FactorPair fp = bestFactorPair(16, 16, 16);
-    EXPECT_EQ(fp.first * fp.second, 16u);
-    EXPECT_EQ(fp.first, 4u);
-    EXPECT_EQ(fp.second, 4u);
-}
-
 TEST(Isqrt, Values)
 {
     EXPECT_EQ(isqrt(0), 0u);
@@ -159,19 +94,6 @@ TEST(Pareto, FrontSortedByLatency)
         EXPECT_LE(front[i - 1].latency, front[i].latency);
 }
 
-TEST(Pareto, MinEdp)
-{
-    std::vector<DesignPoint> points{
-        {3.0, 3.0, "nine"}, {1.0, 2.0, "two"}, {4.0, 1.0, "four"}};
-    EXPECT_EQ(minEdpIndex(points), 1u);
-}
-
-TEST(Pareto, MinEdpEmptyPanics)
-{
-    std::vector<DesignPoint> points;
-    EXPECT_THROW(minEdpIndex(points), std::logic_error);
-}
-
 TEST(Table, AlignedOutput)
 {
     Table t({"name", "value"});
@@ -189,15 +111,6 @@ TEST(Table, ArityMismatchPanics)
 {
     Table t({"a", "b"});
     EXPECT_THROW(t.addRow({"only-one"}), std::logic_error);
-}
-
-TEST(Table, Csv)
-{
-    Table t({"x", "y"});
-    t.addRow({"1", "2"});
-    std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_EQ(oss.str(), "x,y\n1,2\n");
 }
 
 TEST(Format, FmtDouble)
