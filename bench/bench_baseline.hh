@@ -4,8 +4,9 @@
  * committed baseline) into a flat key -> value view and compare the
  * two, so CI can fail the build when scheduler throughput drops or a
  * policy's deadline-miss count rises versus the committed baseline
- * (bench/baselines/). Shared by bench_sched_throughput and
- * bench_realtime via --check-against / --tolerance / --check-only.
+ * (bench/baselines/). runGatedBench() at the bottom is the one
+ * driver of the six CI-gated benches: flag parsing, output file,
+ * --check-against / --tolerance / --check-only and the verdict.
  *
  * The parser is a deliberately small recursive-descent reader for
  * the JSON these benches themselves emit (objects, arrays, numbers,
@@ -35,8 +36,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "util/logging.hh"
 
@@ -284,20 +289,31 @@ class Parser
 } // namespace detail
 
 /**
- * Strict numeric CLI-argument parse for the gate flags: the whole
- * string must be a finite number (no trailing junk, no empty
- * string). A typo like "x25" silently becoming 0.0 would turn the
- * 25% gate into a zero-tolerance gate; fail loudly instead.
+ * Strict numeric parse of the value of bench flag @p flag: the whole
+ * string must be one finite number in [@p min, @p max], and an
+ * integer when @p integer. A typo like "x25" silently becoming 0
+ * would turn the 25% gate into a zero-tolerance gate, "-1" would wrap
+ * to a huge thread count; fail loudly, naming the flag, instead.
  */
 inline double
-parseToleranceArg(const char *arg)
+parseNumberArg(const char *flag, const char *arg, double min,
+               double max, bool integer)
 {
     char *end = nullptr;
-    double v = std::strtod(arg, &end);
-    if (end == arg || *end != '\0')
-        util::fatal("bench gate: malformed --tolerance value \"",
-                    arg, "\" (expected a number, e.g. 25)");
-    return v;
+    const double v = std::strtod(arg, &end);
+    if (end != arg && *end == '\0' && std::isfinite(v) && v >= min &&
+        v <= max && (!integer || v == std::floor(v)))
+        return v;
+    std::string expected = integer ? "an integer" : "a number";
+    auto text = [](double x) {
+        return std::to_string(static_cast<long long>(x));
+    };
+    if (std::isfinite(max))
+        expected += " in [" + text(min) + ", " + text(max) + "]";
+    else if (std::isfinite(min))
+        expected += " >= " + text(min);
+    util::fatal("bench: malformed ", flag, " value \"", arg,
+                "\" (expected ", expected, ")");
 }
 
 /** Parse @p path (util::fatal on I/O or syntax errors). */
@@ -485,6 +501,182 @@ checkPolicyMissRows(BaselineChecker &chk, const FlatJson &current,
             chk.failure(context + "." + *label,
                         "policy row missing from current run");
     }
+}
+
+/**
+ * A bench-specific flag: a switch when @c metavar is null, else a
+ * number parsed by parseNumberArg() within [min, max].
+ */
+struct ExtraFlag
+{
+    const char *name;
+    const char *metavar;
+    double min = 0.0;
+    double max = 0.0;
+    bool integer = false;
+};
+
+inline constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
+// The extras the gated benches draw from. --threads mirrors the
+// HERALD_THREADS range (0 defers to that variable, then hardware).
+inline constexpr ExtraFlag kThreadsFlag{"--threads", "N", 0, 4096, true};
+inline constexpr ExtraFlag kFrames60Flag{
+    "--frames60", "N", 1, std::numeric_limits<int>::max(), true};
+inline constexpr ExtraFlag kMaxSecondsFlag{"--max-seconds", "S", 0,
+                                           kUnbounded};
+inline constexpr ExtraFlag kSkipReferenceFlag{"--skip-reference",
+                                              nullptr};
+inline constexpr ExtraFlag kRssSlackMbFlag{"--rss-slack-mb", "MB", 0,
+                                           kUnbounded};
+
+/** The parsed command line of a gated bench. */
+struct BenchArgs
+{
+    std::string out;          //!< --out FILE
+    bool small = false;       //!< --small: the CI-sized run
+    std::string baseline;     //!< --check-against FILE
+    double tolerance = 25.0;  //!< --tolerance PCT
+    bool checkOnly = false;   //!< --check-only: gate the --out file
+    std::map<std::string, double> extras; //!< given extras by name
+
+    /** Value of extra @p flag, or @p fallback when not given. */
+    double
+    value(const ExtraFlag &flag, double fallback) const
+    {
+        auto it = extras.find(flag.name);
+        return it == extras.end() ? fallback : it->second;
+    }
+
+    /** Whether extra @p flag was given. */
+    bool
+    has(const ExtraFlag &flag) const
+    {
+        return extras.count(flag.name) != 0;
+    }
+};
+
+/**
+ * What a gated bench plugs into runGatedBench(): its extras, a run
+ * body that writes the bench JSON to @c json and returns false when
+ * an in-binary assertion failed, and the gate checks that compare a
+ * current emission against a baseline.
+ */
+struct GatedBench
+{
+    const char *name;
+    const char *defaultOut;
+    std::vector<ExtraFlag> extras;
+    bool (*run)(const BenchArgs &args, std::FILE *json);
+    void (*gate)(BaselineChecker &chk, const FlatJson &current,
+                 const FlatJson &baseline);
+};
+
+/**
+ * Parse @p argv against the common flags and @p bench's extras.
+ * Prints the usage line and returns nothing on an unknown flag or a
+ * missing value; util::fatal on a malformed number.
+ */
+inline std::optional<BenchArgs>
+parseBenchArgs(int argc, char **argv, const GatedBench &bench)
+{
+    BenchArgs args;
+    args.out = bench.defaultOut;
+    for (int i = 1; i < argc; ++i) {
+        const std::string flag = argv[i];
+        const bool has_value = i + 1 < argc;
+        const ExtraFlag *extra = nullptr;
+        for (const ExtraFlag &x : bench.extras) {
+            if (flag == x.name && (!x.metavar || has_value))
+                extra = &x;
+        }
+        if (flag == "--small") {
+            args.small = true;
+        } else if (flag == "--check-only") {
+            args.checkOnly = true;
+        } else if (flag == "--out" && has_value) {
+            args.out = argv[++i];
+        } else if (flag == "--check-against" && has_value) {
+            args.baseline = argv[++i];
+        } else if (flag == "--tolerance" && has_value) {
+            args.tolerance = parseNumberArg("--tolerance", argv[++i],
+                                            -kUnbounded, kUnbounded,
+                                            false);
+        } else if (extra) {
+            args.extras[extra->name] =
+                extra->metavar
+                    ? parseNumberArg(extra->name, argv[++i], extra->min,
+                                     extra->max, extra->integer)
+                    : 1.0;
+        } else {
+            std::string usage = "usage: " + std::string(argv[0]) +
+                                " [--out FILE] [--small] "
+                                "[--check-against BASELINE] "
+                                "[--tolerance PCT] [--check-only]";
+            for (const ExtraFlag &x : bench.extras) {
+                usage += " [" + std::string(x.name) +
+                         (x.metavar ? " " + std::string(x.metavar)
+                                    : "") +
+                         "]";
+            }
+            std::fprintf(stderr, "%s\n", usage.c_str());
+            return std::nullopt;
+        }
+    }
+    return args;
+}
+
+/** Compare the --out file against the baseline; 0 when it holds. */
+inline int
+checkAgainstBaseline(const GatedBench &bench, const BenchArgs &args)
+{
+    const FlatJson current = parseJsonFile(args.out);
+    const FlatJson baseline = parseJsonFile(args.baseline);
+    BaselineChecker chk(current, baseline, args.tolerance);
+    bench.gate(chk, current, baseline);
+    return chk.verdict(bench.name) ? 0 : 1;
+}
+
+/**
+ * main() of a gated bench. With --check-only, gate the existing
+ * --out file against --check-against and run nothing. Otherwise
+ * open --out, run the bench into it, and exit non-zero when the run
+ * failed its own assertions or, given --check-against, when the
+ * fresh emission regressed against the baseline.
+ */
+inline int
+runGatedBench(int argc, char **argv, const GatedBench &bench)
+{
+    util::setVerbose(false);
+    std::optional<BenchArgs> args;
+    try {
+        args = parseBenchArgs(argc, argv, bench);
+    } catch (const std::runtime_error &) {
+        return 1; // util::fatal has named the malformed flag
+    }
+    if (!args)
+        return 1;
+    if (args->checkOnly) {
+        if (args->baseline.empty()) {
+            std::fprintf(stderr,
+                         "--check-only requires --check-against\n");
+            return 1;
+        }
+        return checkAgainstBaseline(bench, *args);
+    }
+    // Open the output up front so a bad path fails before the run.
+    std::FILE *json = std::fopen(args->out.c_str(), "w");
+    if (!json) {
+        std::fprintf(stderr, "cannot write %s\n", args->out.c_str());
+        return 1;
+    }
+    const bool ok = bench.run(*args, json);
+    std::fclose(json);
+    std::printf("wrote %s\n", args->out.c_str());
+    if (!ok)
+        return 1;
+    return args->baseline.empty() ? 0
+                                  : checkAgainstBaseline(bench, *args);
 }
 
 } // namespace herald::benchgate

@@ -35,18 +35,12 @@
  * leg is reported for the perf trajectory but not gated. A fresh
  * CostModel per leg keeps every leg cold-start honest. The annealing
  * seed is pinned: the run is bit-reproducible, so the quality gate is
- * exact, not statistical.
- *
- * Usage:
- *   bench_dse_throughput [--threads N] [--out FILE] [--small]
- *                        [--check-against BASELINE.json]
- *                        [--tolerance PCT] [--check-only]
+ * exact, not statistical. Flags: docs/BENCHMARKS.md.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -168,16 +162,10 @@ identicalResults(const dse::DseResult &a, const dse::DseResult &b)
     return true;
 }
 
-int
-checkAgainstBaseline(const std::string &current_path,
-                     const std::string &baseline_path,
-                     double tolerance)
+void
+gate(benchgate::BaselineChecker &chk, const benchgate::FlatJson &,
+     const benchgate::FlatJson &)
 {
-    benchgate::FlatJson cur = benchgate::parseJsonFile(current_path);
-    benchgate::FlatJson base =
-        benchgate::parseJsonFile(baseline_path);
-    benchgate::BaselineChecker chk(cur, base, tolerance);
-
     // The engine's coverage rate and its structural speedup over the
     // brute-force configuration must not regress. The speedup is a
     // machine-relative ratio (both legs timed on the same host), so
@@ -191,66 +179,15 @@ checkAgainstBaseline(const std::string &current_path,
     chk.checkCountNotAbove("annealing.quality_gap",
                            "annealing.quality_gap");
     chk.checkThroughput("determinism_ok");
-    return chk.verdict("bench_dse_throughput") ? 0 : 1;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+bool
+run(const benchgate::BenchArgs &args, std::FILE *json)
 {
-    util::setVerbose(false);
-
-    std::size_t threads = 0;
-    std::string out_path = "BENCH_dse.json";
-    std::string baseline_path;
-    double tolerance = 25.0;
-    bool check_only = false;
-    bool small = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (std::strcmp(argv[i], "--out") == 0 &&
-                   i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--check-against") == 0 &&
-                   i + 1 < argc) {
-            baseline_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--tolerance") == 0 &&
-                   i + 1 < argc) {
-            tolerance = benchgate::parseToleranceArg(argv[++i]);
-        } else if (std::strcmp(argv[i], "--check-only") == 0) {
-            check_only = true;
-        } else if (std::strcmp(argv[i], "--small") == 0) {
-            small = true;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--threads N] [--out FILE] "
-                         "[--small] [--check-against BASELINE] "
-                         "[--tolerance PCT] [--check-only]\n",
-                         argv[0]);
-            return 1;
-        }
-    }
-    threads = util::resolveThreadCount(threads);
-    if (check_only) {
-        if (baseline_path.empty()) {
-            std::fprintf(stderr,
-                         "--check-only requires --check-against\n");
-            return 1;
-        }
-        return checkAgainstBaseline(out_path, baseline_path,
-                                    tolerance);
-    }
-
-    // Open the output up front so a bad path fails before the sweep.
-    std::FILE *json = std::fopen(out_path.c_str(), "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-    }
-
+    const bool small = args.small;
+    const std::size_t threads =
+        util::resolveThreadCount(static_cast<std::size_t>(
+            args.value(benchgate::kThreadsFlag, 0)));
     workload::Workload wl = workload::arvrA();
     accel::AcceleratorClass chip = accel::edgeClass();
 
@@ -399,14 +336,17 @@ main(int argc, char **argv)
         annealing.bestObjective, annealing.frontierSize, ann_speedup,
         quality_gap, coveragePerSec(space, parallel),
         deterministic ? 1 : 0, us_per_layer, wl.totalLayers());
-    std::fclose(json);
-    std::printf("wrote %s\n", out_path.c_str());
+    return ok;
+}
 
-    if (!baseline_path.empty()) {
-        int gate = checkAgainstBaseline(out_path, baseline_path,
-                                        tolerance);
-        if (gate != 0)
-            return gate;
-    }
-    return ok ? 0 : 1;
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchgate::runGatedBench(argc, argv,
+                                    {"bench_dse_throughput",
+                                     "BENCH_dse.json",
+                                     {benchgate::kThreadsFlag}, run,
+                                     gate});
 }

@@ -16,24 +16,14 @@
  * has unbounded latency, which serializes as -1.0 in the JSON (JSON
  * has no Infinity literal).
  *
- * Usage:
- *   bench_realtime [--threads N] [--out FILE] [--small]
- *                  [--check-against BASELINE.json] [--tolerance PCT]
- *                  [--check-only]
- *
- * --check-against enables the CI regression gate: after emitting the
- * JSON it is compared against the committed baseline and the run
- * exits non-zero when any (scenario, policy) deadline-miss count
- * rises above the baseline (miss counts are deterministic, so no
- * tolerance applies; --tolerance is accepted for symmetry with
- * bench_sched_throughput). --check-only skips the benchmarks and
- * only re-runs the comparison against the existing --out file.
+ * Flags: docs/BENCHMARKS.md. The --check-against gate fails when
+ * any (scenario, policy) deadline-miss count rises above the
+ * baseline (miss counts are deterministic, so no tolerance applies).
  */
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -163,20 +153,12 @@ runScenario(const workload::Workload &wl,
 /**
  * The regression gate (--check-against): every (scenario, policy)
  * deadline-miss count in the baseline must not be exceeded by the
- * current run, matched by scenario name and policy label. Returns 0
- * when within bounds.
+ * current run, matched by scenario name and policy label.
  */
-int
-checkAgainstBaseline(const std::string &current_path,
-                     const std::string &baseline_path,
-                     double tolerance)
+void
+gate(benchgate::BaselineChecker &chk, const benchgate::FlatJson &cur,
+     const benchgate::FlatJson &base)
 {
-    benchgate::FlatJson cur =
-        benchgate::parseJsonFile(current_path);
-    benchgate::FlatJson base =
-        benchgate::parseJsonFile(baseline_path);
-    benchgate::BaselineChecker chk(cur, base, tolerance);
-
     const std::size_t n_base = base.arrayLen("scenarios", "frames");
     const std::size_t n_cur = cur.arrayLen("scenarios", "frames");
     for (std::size_t i = 0; i < n_base; ++i) {
@@ -205,64 +187,14 @@ checkAgainstBaseline(const std::string &current_path,
                                        bscen + ".policies",
                                        "scenarios[" + *name + "]");
     }
-    return chk.verdict("bench_realtime") ? 0 : 1;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+bool
+run(const benchgate::BenchArgs &args, std::FILE *json)
 {
-    util::setVerbose(false);
-
-    std::size_t threads = 0;
-    std::string out_path = "BENCH_realtime.json";
-    std::string baseline_path;
-    double tolerance = 25.0;
-    bool check_only = false;
-    bool small = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (std::strcmp(argv[i], "--out") == 0 &&
-                   i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--check-against") == 0 &&
-                   i + 1 < argc) {
-            baseline_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--tolerance") == 0 &&
-                   i + 1 < argc) {
-            tolerance = benchgate::parseToleranceArg(argv[++i]);
-        } else if (std::strcmp(argv[i], "--check-only") == 0) {
-            check_only = true;
-        } else if (std::strcmp(argv[i], "--small") == 0) {
-            small = true;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--threads N] [--out FILE] "
-                         "[--small] [--check-against BASELINE] "
-                         "[--tolerance PCT] [--check-only]\n",
-                         argv[0]);
-            return 1;
-        }
-    }
-    if (check_only) {
-        if (baseline_path.empty()) {
-            std::fprintf(stderr,
-                         "--check-only requires --check-against\n");
-            return 1;
-        }
-        return checkAgainstBaseline(out_path, baseline_path,
-                                    tolerance);
-    }
-
-    std::FILE *json = std::fopen(out_path.c_str(), "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-    }
-
+    const bool small = args.small;
+    const auto threads = static_cast<std::size_t>(
+        args.value(benchgate::kThreadsFlag, 0));
     accel::AcceleratorClass chip = accel::edgeClass();
     accel::Accelerator acc = accel::Accelerator::makeHda(
         chip,
@@ -382,10 +314,17 @@ main(int argc, char **argv)
                  dse_result.points.size(), sweep_seconds,
                  dse_result.best().summary.sla.deadlineMisses,
                  dse_result.best().summary.sla.droppedFrames);
-    std::fclose(json);
-    std::printf("wrote %s\n", out_path.c_str());
-    if (!baseline_path.empty())
-        return checkAgainstBaseline(out_path, baseline_path,
-                                    tolerance);
-    return 0;
+    return true;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchgate::runGatedBench(argc, argv,
+                                    {"bench_realtime",
+                                     "BENCH_realtime.json",
+                                     {benchgate::kThreadsFlag}, run,
+                                     gate});
 }

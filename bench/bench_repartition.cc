@@ -21,19 +21,13 @@
  * every elastic schedule that migrated validates cleanly against its
  * reconfiguration windows.
  *
- * Usage mirrors bench_realtime:
- *   bench_repartition [--out FILE] [--small]
- *                     [--check-against BASELINE.json]
- *                     [--tolerance PCT] [--check-only]
- *
- * Miss counts are deterministic (the scheduler is bit-identical
- * across thread counts and reruns), so the --check-against gate
- * compares them exactly, tolerance-free.
+ * Flags: docs/BENCHMARKS.md. Miss counts are deterministic (the
+ * scheduler is bit-identical across thread counts and reruns), so
+ * the --check-against gate compares them exactly, tolerance-free.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -62,67 +56,21 @@ struct CellResult
     double missRate = 0.0;
 };
 
-int
-checkAgainstBaseline(const std::string &current_path,
-                     const std::string &baseline_path,
-                     double tolerance)
+void
+gate(benchgate::BaselineChecker &chk, const benchgate::FlatJson &cur,
+     const benchgate::FlatJson &base)
 {
-    benchgate::FlatJson cur = benchgate::parseJsonFile(current_path);
-    benchgate::FlatJson base =
-        benchgate::parseJsonFile(baseline_path);
-    benchgate::BaselineChecker chk(cur, base, tolerance);
     // Rows are labeled "<static|elastic>/<nvdla PEs>"; miss counts
     // are deterministic, so any rise over the committed baseline is
     // a scheduling- or migration-quality regression.
     benchgate::checkPolicyMissRows(chk, cur, base, "cells", "cells",
                                    "cells");
-    return chk.verdict("bench_repartition") ? 0 : 1;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+bool
+run(const benchgate::BenchArgs &args, std::FILE *json)
 {
-    util::setVerbose(false);
-
-    std::string out_path = "BENCH_repartition.json";
-    std::string baseline_path;
-    double tolerance = 25.0;
-    bool check_only = false;
-    bool small = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--check-against") == 0 &&
-                   i + 1 < argc) {
-            baseline_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--tolerance") == 0 &&
-                   i + 1 < argc) {
-            tolerance = benchgate::parseToleranceArg(argv[++i]);
-        } else if (std::strcmp(argv[i], "--check-only") == 0) {
-            check_only = true;
-        } else if (std::strcmp(argv[i], "--small") == 0) {
-            small = true;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--out FILE] [--small] "
-                         "[--check-against BASELINE] "
-                         "[--tolerance PCT] [--check-only]\n",
-                         argv[0]);
-            return 1;
-        }
-    }
-    if (check_only) {
-        if (baseline_path.empty()) {
-            std::fprintf(stderr,
-                         "--check-only requires --check-against\n");
-            return 1;
-        }
-        return checkAgainstBaseline(out_path, baseline_path,
-                                    tolerance);
-    }
-
+    const bool small = args.small;
     accel::AcceleratorClass chip = accel::edgeClass();
     const int frames = small ? 8 : 16;
     workload::Workload wl = workload::shiftingLoadFactory(frames);
@@ -229,11 +177,6 @@ main(int argc, char **argv)
         ok = false;
     }
 
-    std::FILE *json = std::fopen(out_path.c_str(), "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-    }
     std::fprintf(json,
                  "{\n  \"chip\": \"%s\",\n  \"grid\": \"%s\",\n"
                  "  \"frames\": %zu,\n"
@@ -257,13 +200,16 @@ main(int argc, char **argv)
             i + 1 < cells.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::printf("wrote %s\n", out_path.c_str());
+    return ok;
+}
 
-    if (!ok)
-        return 1;
-    if (!baseline_path.empty())
-        return checkAgainstBaseline(out_path, baseline_path,
-                                    tolerance);
-    return 0;
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchgate::runGatedBench(argc, argv,
+                                    {"bench_repartition",
+                                     "BENCH_repartition.json", {}, run,
+                                     gate});
 }

@@ -9,34 +9,9 @@
  * (default BENCH_sched.json) so successive PRs can track the perf
  * trajectory.
  *
- * Usage:
- *   bench_sched_throughput [--small] [--frames60 N] [--threads N]
- *                          [--skip-reference] [--max-seconds S]
- *                          [--out FILE]
- *                          [--check-against BASELINE.json]
- *                          [--tolerance PCT] [--check-only]
- *
- * --small           CI-sized scenario (~1k frames) instead of ~10k
- * --frames60 N      override the 60-FPS frame count directly
- * --threads N       LayerCostTable prefill worker count (default:
- *                   HERALD_THREADS, then hardware concurrency)
- * --skip-reference  skip the slow reference-scheduler timings
- * --max-seconds S   smoke bound: exit non-zero when one table-path
- *                   schedule of the big scenario takes longer than S
- * --check-against F regression gate: after emitting the JSON,
- *                   compare it against baseline F and exit non-zero
- *                   when any policy's layers/sec drops more than the
- *                   tolerance below the baseline or any policy's
- *                   overloaded-scenario miss count rises (see
- *                   bench_baseline.hh; baselines live in
- *                   bench/baselines/, regenerate with the
- *                   refresh-baselines target)
- * --tolerance PCT   allowed layers/sec drop, percent (default 25; a
- *                   negative value demands improvement — used by CI
- *                   to verify the gate itself can fail)
- * --check-only      skip all benchmarking: re-read the previously
- *                   written --out file as the current run and only
- *                   perform the --check-against comparison
+ * Flags: docs/BENCHMARKS.md. The --check-against gate fails when
+ * any policy's layers/sec drops more than the tolerance below the
+ * baseline or any policy's overloaded-scenario miss count rises.
  *
  * The big-scenario timings run with post-processing off so they
  * isolate dispatch throughput; two postProcess-on measurements track
@@ -50,7 +25,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -157,19 +131,12 @@ printTiming(const char *label, const Timing &t)
 /**
  * The regression gate (--check-against): throughput keys may not
  * drop more than the tolerance below the baseline, deterministic
- * miss counters may not rise at all. Returns 0 when within bounds.
+ * miss counters may not rise at all.
  */
-int
-checkAgainstBaseline(const std::string &current_path,
-                     const std::string &baseline_path,
-                     double tolerance)
+void
+gate(benchgate::BaselineChecker &chk, const benchgate::FlatJson &cur,
+     const benchgate::FlatJson &base)
 {
-    benchgate::FlatJson cur =
-        benchgate::parseJsonFile(current_path);
-    benchgate::FlatJson base =
-        benchgate::parseJsonFile(baseline_path);
-    benchgate::BaselineChecker chk(cur, base, tolerance);
-
     for (const char *key :
          {"fifo", "edf", "lst", "lst_preempt", "edf_postprocess",
           "edf_postprocess_factory"})
@@ -190,7 +157,6 @@ checkAgainstBaseline(const std::string &current_path,
     benchgate::checkPolicyMissRows(chk, cur, base, "overloaded_sla",
                                    "overloaded_sla",
                                    "overloaded_sla");
-    return chk.verdict("bench_sched_throughput") ? 0 : 1;
 }
 
 void
@@ -209,78 +175,19 @@ emitTiming(std::FILE *json, const char *key, const Timing &t,
                  trailer);
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+bool
+run(const benchgate::BenchArgs &args, std::FILE *json)
 {
-    util::setVerbose(false);
-
-    std::size_t threads = 0;
-    std::string out_path = "BENCH_sched.json";
-    std::string baseline_path;
-    double tolerance = 25.0;
-    bool check_only = false;
-    bool small = false;
-    bool run_reference = true;
-    int frames60 = 0;
-    double max_seconds = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (std::strcmp(argv[i], "--out") == 0 &&
-                   i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--frames60") == 0 &&
-                   i + 1 < argc) {
-            frames60 = static_cast<int>(
-                std::strtol(argv[++i], nullptr, 10));
-        } else if (std::strcmp(argv[i], "--max-seconds") == 0 &&
-                   i + 1 < argc) {
-            max_seconds = std::strtod(argv[++i], nullptr);
-        } else if (std::strcmp(argv[i], "--check-against") == 0 &&
-                   i + 1 < argc) {
-            baseline_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--tolerance") == 0 &&
-                   i + 1 < argc) {
-            tolerance = benchgate::parseToleranceArg(argv[++i]);
-        } else if (std::strcmp(argv[i], "--check-only") == 0) {
-            check_only = true;
-        } else if (std::strcmp(argv[i], "--small") == 0) {
-            small = true;
-        } else if (std::strcmp(argv[i], "--skip-reference") == 0) {
-            run_reference = false;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--small] [--frames60 N] "
-                         "[--threads N] [--skip-reference] "
-                         "[--max-seconds S] [--out FILE] "
-                         "[--check-against BASELINE] "
-                         "[--tolerance PCT] [--check-only]\n",
-                         argv[0]);
-            return 1;
-        }
-    }
-    if (check_only) {
-        if (baseline_path.empty()) {
-            std::fprintf(stderr,
-                         "--check-only requires --check-against\n");
-            return 1;
-        }
-        return checkAgainstBaseline(out_path, baseline_path,
-                                    tolerance);
-    }
+    const bool small = args.small;
+    const auto threads = static_cast<std::size_t>(
+        args.value(benchgate::kThreadsFlag, 0));
+    const bool run_reference = !args.has(benchgate::kSkipReferenceFlag);
+    const double max_seconds =
+        args.value(benchgate::kMaxSecondsFlag, 0.0);
     // ~10k frames at full size (frames60 + frames60/2 + frames60/4
     // instances), ~1k at --small.
-    if (frames60 <= 0)
-        frames60 = small ? 572 : 5712;
-
-    std::FILE *json = std::fopen(out_path.c_str(), "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-    }
+    const int frames60 = static_cast<int>(
+        args.value(benchgate::kFrames60Flag, small ? 572 : 5712));
 
     accel::AcceleratorClass chip = accel::edgeClass();
     accel::Accelerator acc = accel::Accelerator::makeHda(
@@ -510,18 +417,26 @@ main(int argc, char **argv)
                  dse_candidates, dse_seconds, dse_ref_seconds,
                  dse_speedup, max_seconds,
                  within_bound ? "true" : "false");
-    std::fclose(json);
-    std::printf("wrote %s\n", out_path.c_str());
-
     if (!within_bound) {
         std::fprintf(stderr,
                      "SMOKE FAILURE: slowest schedule variant took "
                      "%.3f s (bound %.3f s)\n",
                      slowest_sched, max_seconds);
-        return 1;
     }
-    if (!baseline_path.empty())
-        return checkAgainstBaseline(out_path, baseline_path,
-                                    tolerance);
-    return 0;
+    return within_bound;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchgate::runGatedBench(
+        argc, argv,
+        {"bench_sched_throughput",
+         "BENCH_sched.json",
+         {benchgate::kFrames60Flag, benchgate::kThreadsFlag,
+          benchgate::kSkipReferenceFlag, benchgate::kMaxSecondsFlag},
+         run,
+         gate});
 }

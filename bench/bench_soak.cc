@@ -16,16 +16,11 @@
  * throughput (layers/sec), p50/p99/p99.9 frame latency, and the SLA
  * counters, so successive PRs can track serving capacity.
  *
- * Usage:
- *   bench_soak [--small] [--out FILE] [--rss-slack-mb MB]
- *              [--check-against BASELINE.json] [--tolerance PCT]
- *              [--check-only]
- *
- * --small runs a ~60k-frame smoke variant for CI; the default run
- * submits >= 1.2 million frames. --check-against enables the
- * regression gate: serving throughput must stay within the tolerance
+ * Flags: docs/BENCHMARKS.md. --small runs a ~60k-frame smoke variant
+ * for CI; the default run submits >= 1.2 million frames. The
+ * --check-against gate holds serving throughput within the tolerance
  * of the committed baseline and the deterministic SLA counters
- * (misses, drops, rejections) must not rise. The RSS-flatness
+ * (misses, drops, rejections) at or below it. The RSS-flatness
  * assertion is always on and exits non-zero on violation.
  */
 
@@ -35,7 +30,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "accel/accelerator.hh"
@@ -90,71 +84,23 @@ tinyNet(const char *name, int width)
     return m;
 }
 
-int
-checkAgainstBaseline(const std::string &current_path,
-                     const std::string &baseline_path,
-                     double tolerance)
+void
+gate(benchgate::BaselineChecker &chk, const benchgate::FlatJson &,
+     const benchgate::FlatJson &)
 {
-    benchgate::FlatJson cur = benchgate::parseJsonFile(current_path);
-    benchgate::FlatJson base =
-        benchgate::parseJsonFile(baseline_path);
-    benchgate::BaselineChecker chk(cur, base, tolerance);
     chk.checkThroughput("layers_per_sec");
     chk.checkThroughput("sla.completed");
     chk.checkCountNotAbove("sla.misses", "sla.misses");
     chk.checkCountNotAbove("sla.drops", "sla.drops");
     chk.checkCountNotAbove("sla.rejected", "sla.rejected");
-    return chk.verdict("bench_soak") ? 0 : 1;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+bool
+run(const benchgate::BenchArgs &args, std::FILE *json)
 {
-    util::setVerbose(false);
-
-    std::string out_path = "BENCH_soak.json";
-    std::string baseline_path;
-    double tolerance = 25.0;
-    double rss_slack_mb = 64.0;
-    bool check_only = false;
-    bool small = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--check-against") == 0 &&
-                   i + 1 < argc) {
-            baseline_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--tolerance") == 0 &&
-                   i + 1 < argc) {
-            tolerance = benchgate::parseToleranceArg(argv[++i]);
-        } else if (std::strcmp(argv[i], "--rss-slack-mb") == 0 &&
-                   i + 1 < argc) {
-            rss_slack_mb = benchgate::parseToleranceArg(argv[++i]);
-        } else if (std::strcmp(argv[i], "--check-only") == 0) {
-            check_only = true;
-        } else if (std::strcmp(argv[i], "--small") == 0) {
-            small = true;
-        } else {
-            std::fprintf(
-                stderr,
-                "usage: %s [--small] [--out FILE] "
-                "[--rss-slack-mb MB] [--check-against BASELINE] "
-                "[--tolerance PCT] [--check-only]\n",
-                argv[0]);
-            return 1;
-        }
-    }
-    if (check_only) {
-        if (baseline_path.empty()) {
-            std::fprintf(stderr,
-                         "--check-only requires --check-against\n");
-            return 1;
-        }
-        return checkAgainstBaseline(out_path, baseline_path,
-                                    tolerance);
-    }
+    const bool small = args.small;
+    const double rss_slack_mb =
+        args.value(benchgate::kRssSlackMbFlag, 64.0);
 
     // Two-way HDA; periods are comfortably sustainable so the stream
     // runs in steady state and the window stays small.
@@ -249,11 +195,6 @@ main(int argc, char **argv)
                 rss_warmup_mb, rss_final_mb, rss_growth_mb,
                 rss_slack_mb);
 
-    std::FILE *json = std::fopen(out_path.c_str(), "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-    }
     std::fprintf(
         json,
         "{\n"
@@ -283,17 +224,15 @@ main(int argc, char **argv)
         st.deadlineMisses, st.droppedFrames, st.rejectedFrames,
         rss_warmup_mb, rss_final_mb, rss_growth_mb, max_window,
         max_ready, max_entries, max_intervals, st.retiredEntries);
-    std::fclose(json);
-    std::printf("wrote %s\n", out_path.c_str());
 
     // --- Hard serving-contract assertions (always on) ---
-    int rc = 0;
+    bool ok = true;
     if (st.liveFrames != 0) {
         std::fprintf(stderr,
                      "bench_soak: FAIL %" PRIu64
                      " frames still live after drain\n",
                      st.liveFrames);
-        rc = 1;
+        ok = false;
     }
     if (st.admittedFrames !=
         st.completedFrames + st.droppedFrames) {
@@ -303,14 +242,14 @@ main(int argc, char **argv)
                      " + dropped %" PRIu64 ")\n",
                      st.admittedFrames, st.completedFrames,
                      st.droppedFrames);
-        rc = 1;
+        ok = false;
     }
     if (st.submittedFrames != total_frames) {
         std::fprintf(stderr,
                      "bench_soak: FAIL submitted %" PRIu64
                      " of %" PRIu64 " frames\n",
                      st.submittedFrames, total_frames);
-        rc = 1;
+        ok = false;
     }
     if (rss_growth_mb > rss_slack_mb) {
         std::fprintf(stderr,
@@ -318,13 +257,18 @@ main(int argc, char **argv)
                      "warmup mark (slack %.1f MB) — live state is "
                      "not bounded\n",
                      rss_growth_mb, rss_slack_mb);
-        rc = 1;
+        ok = false;
     }
-    if (rc != 0)
-        return rc;
+    return ok;
+}
 
-    if (!baseline_path.empty())
-        return checkAgainstBaseline(out_path, baseline_path,
-                                    tolerance);
-    return 0;
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchgate::runGatedBench(argc, argv,
+                                    {"bench_soak", "BENCH_soak.json",
+                                     {benchgate::kRssSlackMbFlag}, run,
+                                     gate});
 }

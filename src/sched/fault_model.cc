@@ -367,10 +367,8 @@ faultObliviousSla(const Schedule &schedule,
                   const workload::Workload &wl,
                   const FaultTimeline &faults)
 {
-    SlaStats stats;
-    stats.frames = wl.numInstances();
-    if (stats.frames == 0)
-        return stats;
+    if (wl.numInstances() == 0)
+        return {};
 
     // Overlay the fault timeline on the fault-blind execution: a
     // layer touching an unavailable window dies (and takes the rest
@@ -381,6 +379,7 @@ faultObliviousSla(const Schedule &schedule,
     std::vector<double> completion(wl.numInstances(), -1.0);
     std::vector<double> delay(wl.numInstances(), 0.0);
     std::vector<char> killed(wl.numInstances(), 0);
+    std::size_t killed_layers = 0;
     for (const ScheduledLayer &e : schedule.entries()) {
         if (e.instanceIdx >= wl.numInstances())
             util::panic("faultObliviousSla: instance ",
@@ -390,63 +389,16 @@ faultObliviousSla(const Schedule &schedule,
         if (!faults.windowAvailable(e.accIdx, e.startCycle,
                                     e.duration())) {
             killed[e.instanceIdx] = 1;
-            ++stats.faultKilledLayers;
+            ++killed_layers;
         } else {
             delay[e.instanceIdx] += faults.throttleStretchCycles(
                 e.accIdx, e.startCycle, e.duration());
         }
     }
-
-    std::vector<double> latencies;
-    latencies.reserve(wl.numInstances());
-    constexpr double eps = 1e-6;
-    for (std::size_t i = 0; i < wl.numInstances(); ++i) {
-        const workload::Instance &inst = wl.instances()[i];
-        InstanceSla sla;
-        sla.instanceIdx = i;
-        sla.arrivalCycle = inst.arrivalCycle;
-        sla.deadlineCycle = inst.deadlineCycle;
-        sla.dropped = schedule.isDropped(i);
-        sla.scheduled =
-            !sla.dropped && !killed[i] && completion[i] >= 0.0;
-        if (inst.hasDeadline())
-            ++stats.framesWithDeadline;
-        if (sla.dropped)
-            ++stats.droppedFrames;
-        if (sla.scheduled) {
-            sla.completionCycle = completion[i] + delay[i];
-            sla.latencyCycles =
-                sla.completionCycle - inst.arrivalCycle;
-            sla.missed = inst.hasDeadline() &&
-                         sla.completionCycle >
-                             inst.deadlineCycle + eps;
-        } else {
-            sla.completionCycle = workload::kNoDeadline;
-            sla.latencyCycles = workload::kNoDeadline;
-            sla.missed = inst.hasDeadline();
-        }
-        stats.maxLatencyCycles =
-            std::max(stats.maxLatencyCycles, sla.latencyCycles);
-        latencies.push_back(sla.latencyCycles);
-        if (sla.missed)
-            ++stats.deadlineMisses;
-        stats.perInstance.push_back(sla);
-    }
-    if (stats.framesWithDeadline > 0) {
-        stats.missRate = static_cast<double>(stats.deadlineMisses) /
-                         static_cast<double>(stats.framesWithDeadline);
-    }
-    if (!latencies.empty()) {
-        std::sort(latencies.begin(), latencies.end());
-        auto rank = [&](double q) {
-            std::size_t n = latencies.size();
-            std::size_t r = static_cast<std::size_t>(
-                std::ceil(q * static_cast<double>(n)));
-            return latencies[std::min(n - 1, r > 0 ? r - 1 : 0)];
-        };
-        stats.p50LatencyCycles = rank(0.50);
-        stats.p99LatencyCycles = rank(0.99);
-    }
+    for (std::size_t i = 0; i < wl.numInstances(); ++i)
+        completion[i] = killed[i] ? -1.0 : completion[i] + delay[i];
+    SlaStats stats = frameSla(schedule, wl, completion);
+    stats.faultKilledLayers = killed_layers;
     return stats;
 }
 

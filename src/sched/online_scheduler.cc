@@ -1077,11 +1077,19 @@ OnlineScheduler::maintenance()
     if (opts.retainSchedule)
         return;
 
+    // Audit history as it is forgotten, in list order (per
+    // sub-accelerator that is time order), and fail loudly rather
+    // than let the rolling counters absorb a corrupt schedule. Commit
+    // order is not end order, so this is an order-preserving sweep.
     const FaultTimeline &faults = opts.sched.faults;
-    sched.retireEntriesBefore(floor, [&](const ScheduledLayer &e) {
-        // Audit history as it is forgotten: a violation here means
-        // the rolling counters would silently absorb a corrupt
-        // schedule, so fail loudly instead.
+    std::vector<ScheduledLayer> &entries = sched.mutableEntries();
+    std::size_t kept = 0;
+    for (std::size_t r = 0; r < entries.size(); ++r) {
+        const ScheduledLayer &e = entries[r];
+        if (e.endCycle > floor) {
+            entries[kept++] = e;
+            continue;
+        }
         if (e.instanceIdx < winFront)
             util::panic("online watchdog: retired entry references "
                         "an already-popped frame ", e.instanceIdx);
@@ -1110,7 +1118,9 @@ OnlineScheduler::maintenance()
         }
         lastRetiredEnd[e.accIdx] =
             std::max(lastRetiredEnd[e.accIdx], e.endCycle);
-    });
+        ++retiredEntries;
+    }
+    entries.resize(kept);
     memory.retireBefore(floor);
 
     // Pop finished frames off the window front once their entries
@@ -1388,7 +1398,7 @@ OnlineScheduler::stats() const
     s.readyFrames = ready.size();
     s.liveEntries = sched.entries().size();
     s.liveIntervals = memory.liveIntervals();
-    s.retiredEntries = sched.retiredEntries();
+    s.retiredEntries = retiredEntries;
     s.watermarkCycle = watermark < 0.0 ? 0.0 : watermark;
     s.retireFloorCycle = retireFloor;
     s.perModel = modelStats;

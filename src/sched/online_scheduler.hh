@@ -24,13 +24,12 @@
  *   workload is admitted up front, keyed by its instance index (the
  *   base-order tie-break, which need not be arrival order), and the
  *   loop runs with every gate open.
- * - Committed history is retired incrementally: once the *retirement
- *   floor* — the earliest cycle any usable sub-accelerator frees up —
- *   passes an entry's end, the entry can never influence another
- *   dispatch decision, so it is folded into compact aggregates
- *   (Schedule::retireEntriesBefore, MemoryTracker::retireBefore) and
- *   its frame's state is popped from the sliding window. Live state
- *   is O(in-flight frames), not O(stream length).
+ * - Committed history is retired incrementally: every
+ *   maintenancePeriod commits and admission drops, each entry that
+ *   ends by the *retirement floor* (the earliest cycle any usable
+ *   sub-accelerator frees up) is audited and dropped from the live
+ *   Schedule and MemoryTracker, and finished frames are popped from
+ *   the sliding window. Live state is O(in-flight frames).
  * - Overload is handled by deterministic backpressure at admission
  *   (reject when too many frames are live or the arrival span exceeds
  *   the horizon) on top of the drop policies' hopeless/doomed
@@ -103,9 +102,10 @@ struct OnlineOptions
     double horizonCycles = std::numeric_limits<double>::infinity();
 
     /**
-     * Run retirement + watchdog every this many layer commits (and
-     * once at drain()). Smaller periods bound live state tighter and
-     * audit more often at slightly more bookkeeping per commit.
+     * Run retirement + watchdog every this many layer commits and
+     * admission drops (and once at drain()). Smaller periods bound
+     * live state tighter and audit more often at slightly more
+     * bookkeeping per commit.
      */
     std::size_t maintenancePeriod = 1024;
 
@@ -219,6 +219,10 @@ class OnlineScheduler
                     const LayerCostTable &table,
                     OnlineOptions options = OnlineOptions{});
 
+    // The degraded views point into the member cost table.
+    OnlineScheduler(const OnlineScheduler &) = delete;
+    OnlineScheduler &operator=(const OnlineScheduler &) = delete;
+
     /**
      * Submit one frame of @p model_idx arriving at @p arrival_cycle
      * with absolute deadline @p deadline_cycle (workload::kNoDeadline
@@ -231,10 +235,6 @@ class OnlineScheduler
      * overload; throws only on caller errors (bad index,
      * non-monotone or non-finite arrival, submit after drain).
      */
-    // The degraded views point into the member cost table.
-    OnlineScheduler(const OnlineScheduler &) = delete;
-    OnlineScheduler &operator=(const OnlineScheduler &) = delete;
-
     SubmitResult submit(std::size_t model_idx, double arrival_cycle,
                         double deadline_cycle = workload::kNoDeadline);
 
@@ -424,6 +424,7 @@ class OnlineScheduler
     std::size_t commitsSinceMaintenance = 0;
     double retireFloor = 0.0;
     std::vector<double> lastRetiredEnd; //!< per sub-accelerator
+    std::uint64_t retiredEntries = 0;
 
     // --- Rolling SLA accumulators ---
     std::vector<OnlineModelStats> modelStats;

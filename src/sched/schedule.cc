@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -10,6 +11,78 @@
 
 namespace herald::sched
 {
+
+namespace
+{
+
+/** A global-buffer occupancy level and the cycle it is reached at. */
+struct Occupancy
+{
+    std::int64_t bytes = 0;
+    double cycle = 0.0;
+};
+
+/**
+ * Sweep every entry's buffer claim (at start) and release (at end) in
+ * time order, releases before claims at a tie. Returns the first
+ * point where occupancy exceeds @p cap or, if it never does, the
+ * peak.
+ */
+Occupancy
+occupancySweep(const std::vector<ScheduledLayer> &list, std::int64_t cap)
+{
+    struct Event
+    {
+        double time;
+        std::int64_t delta;
+    };
+    std::vector<Event> events;
+    events.reserve(2 * list.size());
+    for (const ScheduledLayer &e : list) {
+        events.push_back(
+            {e.startCycle,
+             static_cast<std::int64_t>(e.l2FootprintBytes)});
+        events.push_back(
+            {e.endCycle,
+             -static_cast<std::int64_t>(e.l2FootprintBytes)});
+    }
+    std::sort(events.begin(), events.end(),
+              [](const Event &x, const Event &y) {
+                  if (x.time != y.time)
+                      return x.time < y.time;
+                  return x.delta < y.delta; // releases before claims
+              });
+    std::int64_t occupancy = 0;
+    Occupancy peak;
+    for (const Event &ev : events) {
+        occupancy += ev.delta;
+        if (occupancy > peak.bytes) {
+            peak = {occupancy, ev.time};
+            if (occupancy > cap)
+                break;
+        }
+    }
+    return peak;
+}
+
+/** Each sub-accelerator's entries, sorted by start cycle. */
+std::vector<std::vector<const ScheduledLayer *>>
+entriesByStart(const Schedule &schedule)
+{
+    std::vector<std::vector<const ScheduledLayer *>> on_acc(
+        schedule.numSubAccs());
+    for (const ScheduledLayer &e : schedule.entries())
+        on_acc[e.accIdx].push_back(&e);
+    for (std::vector<const ScheduledLayer *> &run : on_acc) {
+        std::sort(run.begin(), run.end(),
+                  [](const ScheduledLayer *x, const ScheduledLayer *y) {
+                      return x->startCycle < y->startCycle;
+                  });
+    }
+    return on_acc;
+}
+
+} // namespace
 
 bool
 operator==(const ScheduledLayer &a, const ScheduledLayer &b)
@@ -101,41 +174,10 @@ Schedule::addReconfig(ReconfigEvent event)
     reconfigList.push_back(std::move(event));
 }
 
-std::size_t
-Schedule::retireEntriesBefore(
-    double cycle,
-    const std::function<void(const ScheduledLayer &)> &observer)
-{
-    if (retiredBusy.empty())
-        retiredBusy.assign(numAccs, 0.0);
-    // Commit order is not end order (breadth-first round-robin
-    // interleaves accelerators), so retirement is an order-preserving
-    // sweep over the live entries rather than a prefix chop.
-    std::size_t w = 0;
-    const std::size_t before = list.size();
-    for (std::size_t r = 0; r < before; ++r) {
-        const ScheduledLayer &e = list[r];
-        if (e.endCycle <= cycle) {
-            if (observer)
-                observer(e);
-            retiredMakespan = std::max(retiredMakespan, e.endCycle);
-            retiredEnergy += e.energyUnits;
-            retiredBusy[e.accIdx] += e.duration();
-            ++retiredCount;
-        } else {
-            if (w != r)
-                list[w] = list[r];
-            ++w;
-        }
-    }
-    list.resize(w);
-    return before - w;
-}
-
 double
 Schedule::makespanCycles() const
 {
-    double makespan = retiredMakespan;
+    double makespan = 0.0;
     for (const ScheduledLayer &e : list)
         makespan = std::max(makespan, e.endCycle);
     return makespan;
@@ -144,8 +186,7 @@ Schedule::makespanCycles() const
 double
 Schedule::busyCycles(std::size_t acc_idx) const
 {
-    double busy =
-        acc_idx < retiredBusy.size() ? retiredBusy[acc_idx] : 0.0;
+    double busy = 0.0;
     for (const ScheduledLayer &e : list) {
         if (e.accIdx == acc_idx)
             busy += e.duration();
@@ -163,11 +204,6 @@ Schedule::finalize(const accel::Accelerator &acc,
     summary.latencySec = summary.makespanCycles / (clock_ghz * 1e9);
     summary.busyCycles.resize(acc.numSubAccs(), 0.0);
 
-    summary.energyUnits = retiredEnergy;
-    for (std::size_t a = 0;
-         a < std::min(retiredBusy.size(), summary.busyCycles.size());
-         ++a)
-        summary.busyCycles[a] = retiredBusy[a];
     for (const ScheduledLayer &e : list) {
         summary.energyUnits += e.energyUnits;
         summary.busyCycles[e.accIdx] += e.duration();
@@ -203,14 +239,8 @@ Schedule::finalize(const workload::Workload &wl,
 SlaStats
 Schedule::computeSla(const workload::Workload &wl) const
 {
-    if (retiredCount > 0)
-        util::panic("computeSla needs the full entry list, but ",
-                    retiredCount, " entries were retired; read "
-                    "rolling counters from OnlineScheduler::stats()");
-    SlaStats stats;
-    stats.frames = wl.numInstances();
-    if (stats.frames == 0)
-        return stats;
+    if (wl.numInstances() == 0)
+        return {};
 
     // Completion = the latest end cycle over an instance's layers;
     // negative marks an instance with no scheduled layer at all.
@@ -218,23 +248,34 @@ Schedule::computeSla(const workload::Workload &wl) const
     // so they are excluded from completion and counted separately.
     std::vector<double> completion(wl.numInstances(), -1.0);
     std::vector<char> lost_layer(wl.numInstances(), 0);
+    std::size_t killed_layers = 0;
     for (const ScheduledLayer &e : list) {
         if (e.instanceIdx >= wl.numInstances())
             util::panic("computeSla: instance ", e.instanceIdx,
                         " out of range");
         if (e.faultKilled) {
-            ++stats.faultKilledLayers;
+            ++killed_layers;
             lost_layer[e.instanceIdx] = 1;
             continue;
         }
         completion[e.instanceIdx] =
             std::max(completion[e.instanceIdx], e.endCycle);
     }
+    SlaStats stats = frameSla(*this, wl, completion);
+    stats.faultKilledLayers = killed_layers;
     for (std::size_t i = 0; i < wl.numInstances(); ++i) {
         if (lost_layer[i] && !isDropped(i))
             ++stats.framesRescheduled;
     }
+    return stats;
+}
 
+SlaStats
+frameSla(const Schedule &schedule, const workload::Workload &wl,
+         const std::vector<double> &completion)
+{
+    SlaStats stats;
+    stats.frames = wl.numInstances();
     std::vector<double> latencies;
     latencies.reserve(wl.numInstances());
     for (std::size_t i = 0; i < wl.numInstances(); ++i) {
@@ -243,7 +284,7 @@ Schedule::computeSla(const workload::Workload &wl) const
         sla.instanceIdx = i;
         sla.arrivalCycle = inst.arrivalCycle;
         sla.deadlineCycle = inst.deadlineCycle;
-        sla.dropped = isDropped(i);
+        sla.dropped = schedule.isDropped(i);
         sla.scheduled = !sla.dropped && completion[i] >= 0.0;
         if (inst.hasDeadline())
             ++stats.framesWithDeadline;
@@ -255,11 +296,11 @@ Schedule::computeSla(const workload::Workload &wl) const
             sla.missed = inst.hasDeadline() &&
                          completion[i] > inst.deadlineCycle + kEps;
         } else {
-            // Dropped or never executed: the frame never completes,
-            // so it cannot make its deadline and its latency is
-            // unbounded. It still counts in the percentiles as +inf
-            // — excluding it would let an over-subscribed run that
-            // sheds half its frames report a rosy p50/p99.
+            // Dropped or never completed: the frame cannot make its
+            // deadline and its latency is unbounded. It still counts
+            // in the percentiles as +inf — excluding it would let an
+            // over-subscribed run that sheds half its frames report
+            // a rosy p50/p99.
             sla.completionCycle = workload::kNoDeadline;
             sla.latencyCycles = workload::kNoDeadline;
             sla.missed = inst.hasDeadline();
@@ -278,7 +319,7 @@ Schedule::computeSla(const workload::Workload &wl) const
     }
 
     // Nearest-rank percentiles over *all* frame latencies (+inf for
-    // frames that never ran).
+    // frames that never completed).
     if (!latencies.empty()) {
         std::sort(latencies.begin(), latencies.end());
         auto rank = [&](double q) {
@@ -300,9 +341,6 @@ Schedule::validate(const workload::Workload &wl,
 {
     std::ostringstream err;
 
-    if (retiredCount > 0)
-        util::panic("validate needs the full entry list, but ",
-                    retiredCount, " entries were retired");
     if (numAccs != acc.numSubAccs()) {
         err << "schedule built for " << numAccs
             << " sub-accelerators, accelerator has "
@@ -505,57 +543,26 @@ Schedule::validate(const workload::Workload &wl,
     }
 
     // Non-overlap per sub-accelerator.
+    const auto on_acc = entriesByStart(*this);
     for (std::size_t a = 0; a < numAccs; ++a) {
-        std::vector<const ScheduledLayer *> on_acc;
-        for (const ScheduledLayer &e : list) {
-            if (e.accIdx == a)
-                on_acc.push_back(&e);
-        }
-        std::sort(on_acc.begin(), on_acc.end(),
-                  [](const ScheduledLayer *x, const ScheduledLayer *y) {
-                      return x->startCycle < y->startCycle;
-                  });
-        for (std::size_t i = 1; i < on_acc.size(); ++i) {
-            if (on_acc[i]->startCycle <
-                on_acc[i - 1]->endCycle - kEps) {
+        const std::vector<const ScheduledLayer *> &run = on_acc[a];
+        for (std::size_t i = 1; i < run.size(); ++i) {
+            if (run[i]->startCycle < run[i - 1]->endCycle - kEps) {
                 err << "overlap on sub-accelerator " << a << " at cycle "
-                    << on_acc[i]->startCycle;
+                    << run[i]->startCycle;
                 return err.str();
             }
         }
     }
 
-    // Global-buffer occupancy: sweep over start/end events.
-    struct Event
-    {
-        double time;
-        std::int64_t delta;
-    };
-    std::vector<Event> events;
-    for (const ScheduledLayer &e : list) {
-        events.push_back(
-            {e.startCycle,
-             static_cast<std::int64_t>(e.l2FootprintBytes)});
-        events.push_back(
-            {e.endCycle,
-             -static_cast<std::int64_t>(e.l2FootprintBytes)});
-    }
-    std::sort(events.begin(), events.end(),
-              [](const Event &x, const Event &y) {
-                  if (x.time != y.time)
-                      return x.time < y.time;
-                  return x.delta < y.delta; // releases before claims
-              });
-    std::int64_t occupancy = 0;
+    // Global-buffer occupancy.
     const std::int64_t cap =
         static_cast<std::int64_t>(acc.globalBufferBytes());
-    for (const Event &ev : events) {
-        occupancy += ev.delta;
-        if (occupancy > cap) {
-            err << "global buffer over-subscribed (" << occupancy
-                << " > " << cap << " bytes) at cycle " << ev.time;
-            return err.str();
-        }
+    const Occupancy over = occupancySweep(list, cap);
+    if (over.bytes > cap) {
+        err << "global buffer over-subscribed (" << over.bytes << " > "
+            << cap << " bytes) at cycle " << over.cycle;
+        return err.str();
     }
 
     return "";
@@ -564,57 +571,22 @@ Schedule::validate(const workload::Workload &wl,
 std::uint64_t
 Schedule::peakOccupancyBytes() const
 {
-    if (retiredCount > 0)
-        util::panic("peakOccupancyBytes needs the full entry list, "
-                    "but ", retiredCount, " entries were retired");
-    struct Event
-    {
-        double time;
-        std::int64_t delta;
-    };
-    std::vector<Event> events;
-    for (const ScheduledLayer &e : list) {
-        events.push_back(
-            {e.startCycle,
-             static_cast<std::int64_t>(e.l2FootprintBytes)});
-        events.push_back(
-            {e.endCycle,
-             -static_cast<std::int64_t>(e.l2FootprintBytes)});
-    }
-    std::sort(events.begin(), events.end(),
-              [](const Event &x, const Event &y) {
-                  if (x.time != y.time)
-                      return x.time < y.time;
-                  return x.delta < y.delta;
-              });
-    std::int64_t occupancy = 0;
-    std::int64_t peak = 0;
-    for (const Event &ev : events) {
-        occupancy += ev.delta;
-        peak = std::max(peak, occupancy);
-    }
-    return static_cast<std::uint64_t>(peak);
+    return static_cast<std::uint64_t>(
+        occupancySweep(list, std::numeric_limits<std::int64_t>::max())
+            .bytes);
 }
 
 std::string
 checkContextPenalties(const Schedule &schedule,
                       double context_change_cycles)
 {
-    const std::vector<ScheduledLayer> &entries = schedule.entries();
-    for (std::size_t a = 0; a < schedule.numSubAccs(); ++a) {
-        std::vector<const ScheduledLayer *> on_acc;
-        for (const ScheduledLayer &e : entries) {
-            if (e.accIdx == a)
-                on_acc.push_back(&e);
-        }
-        std::sort(on_acc.begin(), on_acc.end(),
-                  [](const ScheduledLayer *x, const ScheduledLayer *y) {
-                      return x->startCycle < y->startCycle;
-                  });
-        for (std::size_t i = 0; i < on_acc.size(); ++i) {
-            const ScheduledLayer &e = *on_acc[i];
+    const auto on_acc = entriesByStart(schedule);
+    for (std::size_t a = 0; a < on_acc.size(); ++a) {
+        const std::vector<const ScheduledLayer *> &run = on_acc[a];
+        for (std::size_t i = 0; i < run.size(); ++i) {
+            const ScheduledLayer &e = *run[i];
             double expected =
-                i > 0 && on_acc[i - 1]->instanceIdx != e.instanceIdx
+                i > 0 && run[i - 1]->instanceIdx != e.instanceIdx
                     ? context_change_cycles
                     : 0.0;
             if (e.contextPenaltyCycles != expected) {

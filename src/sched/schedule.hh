@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -221,29 +220,6 @@ class Schedule
      */
     bool identicalTo(const Schedule &other) const;
 
-    /**
-     * Remove every entry with endCycle <= @p cycle, folding it into
-     * compact aggregates (per-sub-accelerator busy cycles, energy,
-     * makespan, count) so makespanCycles() / busyCycles() /
-     * finalize() stay exact while live storage is O(in-flight
-     * entries). Commit order is preserved among survivors. An
-     * optional @p observer sees each retired entry in list order
-     * (within one sub-accelerator that is time order — the
-     * schedulers commit per-accelerator work with monotone
-     * frontiers), which is how the online scheduler's watchdog
-     * audits history it is about to forget. Queries that need the
-     * full entry list (computeSla, validate, peakOccupancyBytes)
-     * fail loudly once anything was retired. Returns the number of
-     * entries retired.
-     */
-    std::size_t retireEntriesBefore(
-        double cycle,
-        const std::function<void(const ScheduledLayer &)> &observer =
-            {});
-
-    /** Entries removed by retireEntriesBefore() so far. */
-    std::size_t retiredEntries() const { return retiredCount; }
-
     const std::vector<ScheduledLayer> &entries() const { return list; }
     std::vector<ScheduledLayer> &mutableEntries() { return list; }
     std::size_t numSubAccs() const { return numAccs; }
@@ -327,13 +303,18 @@ class Schedule
     std::vector<ScheduledLayer> list;
     std::vector<std::size_t> droppedList; //!< sorted ascending
     std::vector<ReconfigEvent> reconfigList; //!< commit order
-
-    // Aggregates of retired history (retireEntriesBefore).
-    std::size_t retiredCount = 0;
-    double retiredMakespan = 0.0;
-    double retiredEnergy = 0.0;
-    std::vector<double> retiredBusy; //!< per sub-acc; lazily sized
 };
+
+/**
+ * The per-frame SLA accounting of Schedule::computeSla and
+ * faultObliviousSla. @p completion[i] is instance i's completion
+ * cycle, negative if it never completed (as a frame @p schedule
+ * dropped never does). Leaves faultKilledLayers and
+ * framesRescheduled to the caller.
+ */
+SlaStats frameSla(const Schedule &schedule,
+                  const workload::Workload &wl,
+                  const std::vector<double> &completion);
 
 /**
  * Verify that every entry's contextPenaltyCycles matches the

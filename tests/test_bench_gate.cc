@@ -6,13 +6,19 @@
  * non-numeric values, duplicate keys, non-finite numbers — with a
  * clear error instead of silently comparing garbage, and the
  * BaselineChecker must fail loudly rather than go inert when the
- * baseline's structure no longer matches.
+ * baseline's structure no longer matches. The gated-bench driver
+ * must reject malformed numeric flags by name and fold the run's
+ * and the gate's outcomes into its exit status.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_baseline.hh"
 #include "util/logging.hh"
@@ -22,7 +28,32 @@ namespace
 
 using namespace herald;
 using benchgate::BaselineChecker;
+using benchgate::BenchArgs;
 using benchgate::FlatJson;
+using benchgate::GatedBench;
+
+/** What fakeRun writes as "x"; fakeGate holds x at or below base. */
+double runValue = 5;
+
+bool
+fakeRun(const BenchArgs &, std::FILE *json)
+{
+    std::fprintf(json, "{\"x\": %g}\n", runValue);
+    return true;
+}
+
+bool
+failingRun(const BenchArgs &args, std::FILE *json)
+{
+    fakeRun(args, json);
+    return false;
+}
+
+void
+fakeGate(BaselineChecker &chk, const FlatJson &, const FlatJson &)
+{
+    chk.checkCountNotAbove("x", "x");
+}
 
 class BenchGateTest : public ::testing::Test
 {
@@ -33,6 +64,76 @@ class BenchGateTest : public ::testing::Test
     parse(const std::string &text)
     {
         return benchgate::detail::Parser(text, "test").run();
+    }
+
+    /** A bench taking every extra flag. */
+    static GatedBench
+    bench(bool (*run)(const BenchArgs &, std::FILE *),
+          void (*gate)(BaselineChecker &, const FlatJson &,
+                       const FlatJson &))
+    {
+        return {"bench_test",
+                "BENCH_test.json",
+                {benchgate::kThreadsFlag, benchgate::kFrames60Flag,
+                 benchgate::kMaxSecondsFlag,
+                 benchgate::kSkipReferenceFlag,
+                 benchgate::kRssSlackMbFlag},
+                run,
+                gate};
+    }
+
+    /** argv for @p words, with a program name in front. */
+    static std::vector<char *>
+    argvOf(std::vector<std::string> &words)
+    {
+        words.insert(words.begin(), "bench_test");
+        std::vector<char *> argv;
+        for (std::string &w : words)
+            argv.push_back(w.data());
+        return argv;
+    }
+
+    static std::optional<BenchArgs>
+    parseWith(const GatedBench &b, std::vector<std::string> words)
+    {
+        std::vector<char *> argv = argvOf(words);
+        return benchgate::parseBenchArgs(static_cast<int>(argv.size()),
+                                         argv.data(), b);
+    }
+
+    static std::optional<BenchArgs>
+    flags(std::vector<std::string> words)
+    {
+        return parseWith(bench(fakeRun, fakeGate), std::move(words));
+    }
+
+    /** The error a malformed flag value raises ("" if none). */
+    static std::string
+    flagError(std::vector<std::string> words)
+    {
+        try {
+            flags(std::move(words));
+        } catch (const std::runtime_error &e) {
+            return e.what();
+        }
+        return "";
+    }
+
+    static int
+    drive(const GatedBench &b, std::vector<std::string> words)
+    {
+        std::vector<char *> argv = argvOf(words);
+        return benchgate::runGatedBench(static_cast<int>(argv.size()),
+                                        argv.data(), b);
+    }
+
+    static void
+    writeFile(const std::string &path, const char *text)
+    {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs(text, f);
+        std::fclose(f);
     }
 };
 
@@ -132,15 +233,121 @@ TEST_F(BenchGateTest, ParseJsonFileFailsOnMissingFile)
 
 TEST_F(BenchGateTest, ParseToleranceArgIsStrict)
 {
-    EXPECT_DOUBLE_EQ(benchgate::parseToleranceArg("25"), 25.0);
-    EXPECT_DOUBLE_EQ(benchgate::parseToleranceArg("-1000"),
+    EXPECT_DOUBLE_EQ(flags({"--tolerance", "25"})->tolerance, 25.0);
+    EXPECT_DOUBLE_EQ(flags({"--tolerance", "-1000"})->tolerance,
                      -1000.0);
-    EXPECT_THROW(benchgate::parseToleranceArg("x25"),
-                 std::runtime_error);
-    EXPECT_THROW(benchgate::parseToleranceArg("25x"),
-                 std::runtime_error);
-    EXPECT_THROW(benchgate::parseToleranceArg(""),
-                 std::runtime_error);
+    for (const char *bad : {"x25", "25x", "", "nan", "inf"}) {
+        EXPECT_NE(flagError({"--tolerance", bad}).find("--tolerance"),
+                  std::string::npos)
+            << bad;
+    }
+}
+
+// ---------------------------------------------------------------
+// Gated-bench driver: flags
+// ---------------------------------------------------------------
+
+TEST_F(BenchGateTest, BenchFlagsDefaultAndParse)
+{
+    const std::optional<BenchArgs> none = flags({});
+    ASSERT_TRUE(none);
+    EXPECT_EQ(none->out, "BENCH_test.json");
+    EXPECT_FALSE(none->small);
+    EXPECT_FALSE(none->checkOnly);
+    EXPECT_TRUE(none->baseline.empty());
+    EXPECT_DOUBLE_EQ(none->tolerance, 25.0);
+    EXPECT_DOUBLE_EQ(none->value(benchgate::kRssSlackMbFlag, 64.0),
+                     64.0);
+    EXPECT_FALSE(none->has(benchgate::kSkipReferenceFlag));
+
+    const std::optional<BenchArgs> all =
+        flags({"--small", "--out", "o.json", "--check-against",
+               "b.json", "--check-only", "--threads", "4096",
+               "--frames60", "1", "--max-seconds", "0",
+               "--skip-reference", "--rss-slack-mb", "2048"});
+    ASSERT_TRUE(all);
+    EXPECT_TRUE(all->small);
+    EXPECT_TRUE(all->checkOnly);
+    EXPECT_EQ(all->out, "o.json");
+    EXPECT_EQ(all->baseline, "b.json");
+    EXPECT_DOUBLE_EQ(all->value(benchgate::kThreadsFlag, 7), 4096);
+    EXPECT_DOUBLE_EQ(all->value(benchgate::kFrames60Flag, 7), 1);
+    EXPECT_DOUBLE_EQ(all->value(benchgate::kMaxSecondsFlag, 7), 0);
+    EXPECT_TRUE(all->has(benchgate::kSkipReferenceFlag));
+    EXPECT_DOUBLE_EQ(all->value(benchgate::kRssSlackMbFlag, 7), 2048);
+    EXPECT_DOUBLE_EQ(flags({"--threads", "0"})
+                         ->value(benchgate::kThreadsFlag, 7),
+                     0);
+}
+
+TEST_F(BenchGateTest, BenchFlagsRejectMalformedNumbers)
+{
+    const std::vector<std::pair<const char *, const char *>> bad = {
+        {"--threads", "-1"},      {"--threads", "4097"},
+        {"--threads", "2.5"},     {"--threads", "x"},
+        {"--frames60", "0"},      {"--frames60", "x"},
+        {"--frames60", "-3"},     {"--max-seconds", "abc"},
+        {"--max-seconds", "-1"},  {"--max-seconds", "inf"},
+        {"--rss-slack-mb", "x"},  {"--rss-slack-mb", "-1"},
+        {"--rss-slack-mb", "nan"}};
+    for (const auto &[flag, value] : bad) {
+        const std::string error = flagError({flag, value});
+        EXPECT_NE(error.find(std::string("malformed ") + flag),
+                  std::string::npos)
+            << flag << " " << value << ": " << error;
+    }
+}
+
+TEST_F(BenchGateTest, BenchFlagsOutsideTheTableAreUsageErrors)
+{
+    GatedBench bare = bench(fakeRun, fakeGate);
+    bare.extras.clear();
+    EXPECT_FALSE(parseWith(bare, {"--threads", "4"}));
+    EXPECT_FALSE(parseWith(bare, {"--skip-reference"}));
+    EXPECT_FALSE(flags({"--bogus"}));
+    // A value flag with its value missing.
+    EXPECT_FALSE(flags({"--out"}));
+    EXPECT_FALSE(flags({"--threads"}));
+}
+
+// ---------------------------------------------------------------
+// Gated-bench driver: exit status
+// ---------------------------------------------------------------
+
+TEST_F(BenchGateTest, DriverExitStatusCombinesRunAndGate)
+{
+    const std::string out = ::testing::TempDir() + "bench_gate_out.json";
+    const std::string base =
+        ::testing::TempDir() + "bench_gate_base.json";
+    writeFile(base, R"({"x": 5})");
+
+    // Check-only needs a baseline, and gates the existing --out.
+    EXPECT_EQ(drive(bench(fakeRun, fakeGate),
+                    {"--check-only", "--out", base}),
+              1);
+    EXPECT_EQ(drive(bench(fakeRun, fakeGate),
+                    {"--check-only", "--out", base, "--check-against",
+                     base}),
+              0);
+
+    // Run ok / gate ok, run ok / gate fails, run fails.
+    const std::vector<const char *> gated = {"--out", out.c_str(),
+                                             "--check-against",
+                                             base.c_str()};
+    auto gated_args = [&] {
+        return std::vector<std::string>(gated.begin(), gated.end());
+    };
+    runValue = 5;
+    EXPECT_EQ(drive(bench(fakeRun, fakeGate), gated_args()), 0);
+    runValue = 6;
+    EXPECT_EQ(drive(bench(fakeRun, fakeGate), gated_args()), 1);
+    runValue = 5;
+    EXPECT_EQ(drive(bench(failingRun, fakeGate), gated_args()), 1);
+    EXPECT_EQ(drive(bench(fakeRun, fakeGate), {"--out", out}), 0);
+    EXPECT_EQ(drive(bench(failingRun, fakeGate), {"--out", out}), 1);
+    EXPECT_EQ(benchgate::parseJsonFile(out).number("x"), 5.0);
+    std::remove(out.c_str());
+    std::remove(base.c_str());
 }
 
 // ---------------------------------------------------------------

@@ -733,4 +733,59 @@ TEST_F(FaultTest, ObliviousSlaThrottleStartingExactlyAtLayerEnd)
     EXPECT_EQ(sla.deadlineMisses, 0u);
 }
 
+TEST_F(FaultTest, ObliviousSlaWithoutFaultsEqualsComputeSla)
+{
+    // With nothing to overlay, the oblivious accountant must read
+    // the schedule exactly like computeSla, field for field.
+    SchedulerOptions doom;
+    doom.policy = sched::Policy::Lst;
+    doom.dropPolicy = sched::DropPolicy::DoomedFrames;
+    const Accelerator acc = miniHda();
+    const std::pair<Workload, SchedulerOptions> cases[] = {
+        {workload::arvrAOverloaded(8), doom}, // drops, partial prefixes
+        {workload::arvrA(), SchedulerOptions{}}, // no deadlines
+    };
+    for (const auto &[wl, opts] : cases) {
+        SCOPED_TRACE(wl.name());
+        const Schedule s = HeraldScheduler(model, opts).schedule(wl, acc);
+        const SlaStats want = s.computeSla(wl);
+        const SlaStats got = sched::faultObliviousSla(
+            s, wl, FaultTimeline(acc.numSubAccs()));
+        EXPECT_EQ(got.frames, want.frames);
+        EXPECT_EQ(got.framesWithDeadline, want.framesWithDeadline);
+        EXPECT_EQ(got.deadlineMisses, want.deadlineMisses);
+        EXPECT_EQ(got.droppedFrames, want.droppedFrames);
+        EXPECT_EQ(got.missRate, want.missRate);
+        EXPECT_EQ(got.p50LatencyCycles, want.p50LatencyCycles);
+        EXPECT_EQ(got.p99LatencyCycles, want.p99LatencyCycles);
+        EXPECT_EQ(got.maxLatencyCycles, want.maxLatencyCycles);
+        EXPECT_EQ(got.faultKilledLayers, want.faultKilledLayers);
+        EXPECT_EQ(got.framesRescheduled, want.framesRescheduled);
+        ASSERT_EQ(got.perInstance.size(), want.perInstance.size());
+        for (std::size_t i = 0; i < want.perInstance.size(); ++i) {
+            const sched::InstanceSla &g = got.perInstance[i];
+            const sched::InstanceSla &w = want.perInstance[i];
+            EXPECT_EQ(g.instanceIdx, w.instanceIdx);
+            EXPECT_EQ(g.arrivalCycle, w.arrivalCycle);
+            EXPECT_EQ(g.completionCycle, w.completionCycle);
+            EXPECT_EQ(g.latencyCycles, w.latencyCycles);
+            EXPECT_EQ(g.deadlineCycle, w.deadlineCycle);
+            EXPECT_EQ(g.scheduled, w.scheduled);
+            EXPECT_EQ(g.missed, w.missed);
+            EXPECT_EQ(g.dropped, w.dropped);
+        }
+        // Each case exercises what it is there for: dropped frames
+        // with a committed prefix, or no deadline at all.
+        if (opts.dropPolicy == sched::DropPolicy::DoomedFrames) {
+            EXPECT_GT(want.droppedFrames, 0u);
+            bool prefix = false;
+            for (const sched::ScheduledLayer &e : s.entries())
+                prefix = prefix || s.isDropped(e.instanceIdx);
+            EXPECT_TRUE(prefix);
+        } else {
+            EXPECT_EQ(want.framesWithDeadline, 0u);
+        }
+    }
+}
+
 } // namespace

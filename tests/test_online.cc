@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -457,6 +458,43 @@ TEST_F(OnlineTest, RetiringHistoryPreservesEveryRollingCounter)
     EXPECT_LT(sb.liveEntries, sa.liveEntries);
     // schedule() is retain-mode only.
     EXPECT_THROW(b.schedule(), std::runtime_error);
+}
+
+TEST_F(OnlineTest, RetirementAccountsForEveryCommittedLayer)
+{
+    // A finite lazy stream with faults, doomed drops and rejections:
+    // every committed entry is either still live or retired, at every
+    // point of the stream.
+    ArrivalSource src;
+    src.addStream(convNet(), 8e4, 4e5, 0.0, 120);
+    src.addStream(fcNet(), 1.1e5, 3e5, 2e4, 90);
+    src.addStream(fcNet(), 1.3e5, 0.0, 5e4, 60); // best effort
+
+    OnlineOptions oopts;
+    oopts.sched.policy = Policy::Lst;
+    oopts.sched.dropPolicy = DropPolicy::DoomedFrames;
+    oopts.sched.preemption = Preemption::AtLayerBoundary;
+    oopts.sched.faults = FaultTimeline::random(11, 2, 4e7);
+    oopts.maxLiveFrames = 64;
+    oopts.horizonCycles = 2e7;
+    oopts.maintenancePeriod = 8;
+    OnlineScheduler eng(model, src.models(), miniHda(), oopts);
+
+    std::uint64_t peak_live = 0;
+    while (!src.exhausted()) {
+        const ArrivalSource::Frame f = src.next();
+        eng.submit(f.streamIdx, f.arrivalCycle, f.deadlineCycle);
+        const OnlineStats st = eng.stats();
+        ASSERT_EQ(st.retiredEntries + st.liveEntries, st.committedLayers);
+        peak_live = std::max(peak_live, st.liveEntries);
+    }
+    eng.drain();
+    const OnlineStats st = eng.stats();
+    EXPECT_EQ(st.retiredEntries + st.liveEntries, st.committedLayers);
+    // Pinned: retirement sweeps exactly the entries the floor passed.
+    EXPECT_EQ(st.retiredEntries, 260u);
+    EXPECT_EQ(st.liveEntries, 0u);
+    EXPECT_EQ(peak_live, 31u);
 }
 
 // ---------------------------------------------------------------
