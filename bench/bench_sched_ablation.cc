@@ -14,7 +14,6 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "sched/greedy_scheduler.hh"
 
 int
 main()

@@ -24,21 +24,6 @@ bytes(std::uint64_t words)
 
 } // namespace
 
-std::size_t
-CostCacheKeyHash::operator()(const CostCacheKey &key) const
-{
-    std::uint64_t h = 0x243f6a8885a308d3ULL;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    };
-    for (std::uint64_t v : key.geometry)
-        mix(v);
-    mix(static_cast<std::uint64_t>(key.style));
-    for (std::uint64_t v : key.resources)
-        mix(v);
-    return static_cast<std::size_t>(h);
-}
-
 CostModel::CostModel(EnergyModel energy_model, CostOptions options)
     : energy(energy_model), opts(options)
 {
@@ -77,18 +62,17 @@ CostModel::evaluate(const dnn::Layer &layer,
                     dataflow::DataflowStyle style,
                     const SubAccResources &res)
 {
-    const CostCacheKey key{layer.canonical().identity(), style,
-                           res.identity()};
-    // Shard on the high hash bits: the shard's unordered_map buckets
-    // on the low bits, and reusing them would leave every key in a
-    // shard congruent mod kCacheShards (chain blowup on power-of-two
-    // bucket implementations).
-    CacheShard &shard =
-        shards[(CostCacheKeyHash{}(key) >> 57) % kCacheShards];
+    CacheKey key{};
+    const std::array<std::uint64_t, 9> geometry =
+        layer.canonical().identity();
+    const std::array<std::uint64_t, 7> resources = res.identity();
+    std::copy(geometry.begin(), geometry.end(), key.begin());
+    key[9] = static_cast<std::uint64_t>(style);
+    std::copy(resources.begin(), resources.end(), key.begin() + 10);
     {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.map.find(key);
-        if (it != shard.map.end())
+        std::lock_guard<std::mutex> lock(mutex);
+        auto it = cache.find(key);
+        if (it != cache.end())
             return it->second;
     }
 
@@ -103,21 +87,15 @@ CostModel::evaluate(const dnn::Layer &layer,
         dataflow::buildMapping(style, layer, constraints);
     LayerCost cost = evaluateMapping(mapping, res);
 
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto [pos, inserted] = shard.map.emplace(key, cost);
-    (void)inserted;
-    return pos->second;
+    std::lock_guard<std::mutex> lock(mutex);
+    return cache.emplace(key, cost).first->second;
 }
 
 std::size_t
 CostModel::cacheSize() const
 {
-    std::size_t total = 0;
-    for (const CacheShard &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        total += shard.map.size();
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(mutex);
+    return cache.size();
 }
 
 LayerCost

@@ -17,8 +17,8 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <mutex>
-#include <unordered_map>
 
 #include "cost/energy_model.hh"
 #include "cost/reuse_analysis.hh"
@@ -130,34 +130,6 @@ struct LayerCost
 };
 
 /**
- * The full (layer geometry, style, resources) tuple a cached cost is
- * valid for. Evaluation depends on the layer only through its
- * CanonicalConv (the mapper consumes layer.canonical()), so the key
- * carries the canonical dims verbatim — real equality, closing the
- * silent wrong-cost hazard two hash-colliding tuples used to have.
- */
-struct CostCacheKey
-{
-    /** CanonicalConv::identity() of the layer. */
-    std::array<std::uint64_t, 9> geometry{};
-    dataflow::DataflowStyle style = dataflow::DataflowStyle::NVDLA;
-    /** SubAccResources::identity() of the sub-accelerator. */
-    std::array<std::uint64_t, 7> resources{};
-
-    bool operator==(const CostCacheKey &o) const
-    {
-        return geometry == o.geometry && style == o.style &&
-               resources == o.resources;
-    }
-};
-
-/** Mixing hash over every key field (collisions are now harmless). */
-struct CostCacheKeyHash
-{
-    std::size_t operator()(const CostCacheKey &key) const;
-};
-
-/**
  * Stateless evaluator plus a memoization cache. Evaluation is a pure
  * function of (layer shape, style, resources), so results are cached
  * under that key — the DSE issues millions of queries for repeated
@@ -167,17 +139,17 @@ struct CostCacheKeyHash
  * on the full tuple, shared by every schedule the DSE builds), while
  * each schedule() run additionally front-loads its queries into a
  * dense sched::LayerCostTable so the scheduling loop itself performs
- * no hashing and takes no shard mutex — evaluate() is only reached
+ * no cache lookup and takes no lock — evaluate() is only reached
  * during table prefill, once per unique (layer, style, resources)
  * tuple per candidate.
  *
  * Thread safety: evaluate() may be called concurrently from any
- * number of threads. The cache is split into kCacheShards shards,
- * each guarded by its own mutex, and hits/misses return the LayerCost
- * by value so callers never hold references into a concurrently
- * mutated map. Misses compute outside the shard lock; on an insert
- * race the first writer wins (both threads computed the identical
- * pure-function result, so this stays deterministic).
+ * number of threads. One mutex guards the one ordered map, and
+ * hits/misses return the LayerCost by value so callers never hold
+ * references into a concurrently mutated map. Misses compute outside
+ * the lock; on an insert race the first writer wins (both threads
+ * computed the identical pure-function result, so this stays
+ * deterministic).
  */
 class CostModel
 {
@@ -209,18 +181,18 @@ class CostModel
     std::size_t cacheSize() const;
 
   private:
-    static constexpr std::size_t kCacheShards = 16;
-
-    struct CacheShard
-    {
-        mutable std::mutex mutex;
-        std::unordered_map<CostCacheKey, LayerCost, CostCacheKeyHash>
-            map;
-    };
+    /**
+     * The full (layer geometry, style, resources) tuple a cached cost
+     * is valid for: dnn::CanonicalConv::identity() (evaluation sees
+     * the layer only through its canonical dims), the style, then
+     * SubAccResources::identity().
+     */
+    using CacheKey = std::array<std::uint64_t, 17>;
 
     EnergyModel energy;
     CostOptions opts;
-    std::array<CacheShard, kCacheShards> shards;
+    mutable std::mutex mutex;
+    std::map<CacheKey, LayerCost> cache;
 };
 
 } // namespace herald::cost

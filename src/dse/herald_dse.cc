@@ -3,9 +3,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sched/layer_cost_table.hh"
@@ -25,59 +26,25 @@ constexpr double kAnnealInitialTemp = 0.10;
 constexpr double kAnnealCooling = 0.97;
 
 /**
- * Canonical key of a partition candidate for duplicate detection.
- * Bandwidth shares are quantized to 2^-20 GB/s so grid points that
- * differ only by floating-point noise collapse to one key. A plain
- * struct of the quantized integers — no string building, so the
- * Binary refinement round's dedup does not allocate per candidate
- * beyond the key's split storage.
+ * Canonical key of a partition candidate for duplicate detection: the
+ * PE split and the bandwidth shares quantized to 2^-20 GB/s, so grid
+ * points that differ only by floating-point noise collapse to one key.
  */
-struct CandidateKey
-{
-    std::vector<std::uint64_t> pe;
-    std::vector<std::int64_t> bwQ;
-
-    bool
-    operator==(const CandidateKey &o) const
-    {
-        return pe == o.pe && bwQ == o.bwQ;
-    }
-};
+using CandidateKey =
+    std::pair<std::vector<std::uint64_t>, std::vector<std::int64_t>>;
 
 CandidateKey
 candidateKey(const PartitionCandidate &cand)
 {
     CandidateKey key;
-    key.pe = cand.peSplit;
-    key.bwQ.reserve(cand.bwSplit.size());
+    key.first = cand.peSplit;
+    key.second.reserve(cand.bwSplit.size());
     for (double bw : cand.bwSplit) {
-        key.bwQ.push_back(
+        key.second.push_back(
             std::llround(bw * static_cast<double>(1 << 20)));
     }
     return key;
 }
-
-struct CandidateKeyHash
-{
-    std::size_t
-    operator()(const CandidateKey &key) const
-    {
-        // splitmix64-style mixing over every element.
-        std::uint64_t h = 0x9e3779b97f4a7c15ULL *
-                          (key.pe.size() + 1);
-        auto mix = [&h](std::uint64_t v) {
-            v += 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-            v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            v = (v ^ (v >> 27)) * 0x94d049bb133111ebULL;
-            h ^= v ^ (v >> 31);
-        };
-        for (std::uint64_t pe : key.pe)
-            mix(pe);
-        for (std::int64_t bw : key.bwQ)
-            mix(static_cast<std::uint64_t>(bw));
-        return static_cast<std::size_t>(h);
-    }
-};
 
 } // namespace
 
@@ -313,8 +280,7 @@ Herald::explore(const workload::Workload &wl,
         // Candidate-level memo: revisiting a (peSplit, bwSplit)
         // point is free and appends no new DsePoint, so "distinct
         // evaluations" — the budget unit — equals memo.size().
-        std::unordered_map<CandidateKey, double, CandidateKeyHash>
-            memo;
+        std::map<CandidateKey, double> memo;
         auto evaluate_memo =
             [&](const std::vector<PartitionCandidate> &cands) {
                 std::vector<PartitionCandidate> fresh;
@@ -403,7 +369,7 @@ Herald::explore(const workload::Workload &wl,
             // Filtering keeps the surviving candidates in
             // refineAround's order, so the sweep stays bit-identical
             // across thread counts.
-            std::unordered_set<CandidateKey, CandidateKeyHash> seen;
+            std::set<CandidateKey> seen;
             for (const PartitionCandidate &c : candidates)
                 seen.insert(candidateKey(c));
             std::vector<PartitionCandidate> refined = refineAround(

@@ -7,8 +7,8 @@
  * redundant: addPeriodicModel expands "model @ FPS for K frames" into
  * thousands of instances of the same few models, so the same (layer
  * shape, sub-acc) cost is needed over and over. The CostModel cache
- * absorbs the recomputation but still charges a hash + shard-mutex
- * round trip per query.
+ * absorbs the recomputation but still charges a locked map lookup per
+ * query.
  *
  * A LayerCostTable collapses that to pure index arithmetic: before
  * the scheduling loop starts, every (unique layer x sub-acc) cost is
@@ -57,7 +57,7 @@ namespace herald::sched
  *
  * Why columns and not per-layer costs: the CostModel already
  * memoizes per-(layer, style, resources) evaluations, but a table
- * prefill still pays one hash + shard-mutex round trip per entry —
+ * prefill still pays one locked map lookup per entry —
  * rows x sub-accs of them per candidate. Neighboring DSE candidates
  * (an annealing move, a shared axis value of the exhaustive grid)
  * mostly re-request identical columns, so caching at column

@@ -268,6 +268,25 @@ OnlineScheduler::readyRekey(std::size_t idx)
     f.currentKey = key;
 }
 
+void
+OnlineScheduler::doomTrack(std::size_t idx)
+{
+    Frame &f = frameAt(idx);
+    f.doomKey = f.deadline - remCyclesRun(f.uid, f.nextLayer);
+    doomSet.emplace(f.doomKey, idx);
+    f.inDoom = true;
+}
+
+void
+OnlineScheduler::doomUntrack(std::size_t idx)
+{
+    Frame &f = frameAt(idx);
+    if (!f.inDoom)
+        return;
+    doomSet.erase(std::make_pair(f.doomKey, idx));
+    f.inDoom = false;
+}
+
 // ------------------------------------------------------------------
 // Dispatch-loop helpers
 // ------------------------------------------------------------------
@@ -281,24 +300,23 @@ OnlineScheduler::remCyclesRun(std::size_t uid,
 }
 
 double
+OnlineScheduler::availFrom(std::size_t a, double cycle) const
+{
+    return faulty ? opts.sched.faults.nextAvailable(a, cycle) : cycle;
+}
+
+double
 OnlineScheduler::minAvail() const
 {
-    const FaultTimeline &faults = opts.sched.faults;
-    if (!faulty) {
-        double lo = accAvail[0];
-        for (std::size_t a = 1; a < nAcc; ++a)
-            lo = std::min(lo, accAvail[a]);
-        return lo;
-    }
-    // Degraded floor: the earliest cycle any *usable* capacity frees
-    // up. A dead sub-accelerator's frozen frontier must not hold the
-    // floor down forever — project each frontier through the fault
-    // timeline (kNeverCycle once it has permanently failed; +inf
-    // overall means no capacity is left, dooming every deadline
+    // The earliest cycle any *usable* capacity frees up. Under faults
+    // a dead sub-accelerator's frozen frontier must not hold the
+    // floor down forever — each frontier is projected through the
+    // fault timeline (kNeverCycle once it has permanently failed;
+    // +inf overall means no capacity is left, dooming every deadline
     // frame).
     double lo = kNeverCycle;
     for (std::size_t a = 0; a < nAcc; ++a)
-        lo = std::min(lo, faults.nextAvailable(a, accAvail[a]));
+        lo = std::min(lo, availFrom(a, accAvail[a]));
     return lo;
 }
 
@@ -322,14 +340,9 @@ OnlineScheduler::retirementFloor() const
         if (!f.finished)
             p = std::min(p, f.readyTime);
     }
-    const FaultTimeline &faults = opts.sched.faults;
     double floor = kNeverCycle;
-    for (std::size_t a = 0; a < nAcc; ++a) {
-        const double avail =
-            faulty ? faults.nextAvailable(a, accAvail[a])
-                   : accAvail[a];
-        floor = std::min(floor, std::max(avail, p));
-    }
+    for (std::size_t a = 0; a < nAcc; ++a)
+        floor = std::min(floor, std::max(availFrom(a, accAvail[a]), p));
     return floor;
 }
 
@@ -376,15 +389,10 @@ OnlineScheduler::refreshDegraded(double floor)
 void
 OnlineScheduler::rekeyDoomSet()
 {
-    std::set<std::pair<double, std::size_t>> rekeyed;
-    for (const auto &entry : doomSet) {
-        const std::size_t idx = entry.second;
-        Frame &f = frameAt(idx);
-        f.doomKey =
-            f.deadline - remCyclesRun(f.uid, f.nextLayer);
-        rekeyed.emplace(f.doomKey, idx);
-    }
-    doomSet.swap(rekeyed);
+    std::set<std::pair<double, std::size_t>> old;
+    old.swap(doomSet);
+    for (const auto &entry : old)
+        doomTrack(entry.second);
 }
 
 void
@@ -420,7 +428,8 @@ OnlineScheduler::finishFrame(std::size_t idx)
 
 // Shed a live frame mid-schedule: committed layers stay on the
 // timeline (the cycles were really spent), the rest are cancelled, and
-// the frame is recorded as dropped (and therefore missed). Called
+// the frame is recorded as dropped (and therefore missed). Called by
+// admission for a provably hopeless frame (before any layer ran),
 // under DropPolicy::DoomedFrames, and — under any drop policy — when a
 // fault timeline leaves a frame with no usable sub-accelerator at all
 // (graceful degradation: the alternative is a dispatch loop that can
@@ -434,10 +443,7 @@ OnlineScheduler::dropLive(std::size_t idx)
     liveRemaining -= f.numLayers - f.nextLayer;
     f.numLayers = f.nextLayer; // pending() now false
     readyRetire(idx);
-    if (doomDrop && f.inDoom) {
-        doomSet.erase(std::make_pair(f.doomKey, idx));
-        f.inDoom = false;
-    }
+    doomUntrack(idx);
     f.dropped = true;
     f.finished = true;
     --liveFrames;
@@ -465,56 +471,42 @@ OnlineScheduler::releaseInst(std::size_t idx)
     readyRelease(idx);
     if (!doomDrop || f.deadline == workload::kNoDeadline)
         return;
-    if (doomedNow(idx, minAvail())) {
+    if (doomedNow(idx, minAvail()))
         dropLive(idx);
-        return;
-    }
-    f.doomKey = f.deadline - remCyclesRun(f.uid, f.nextLayer);
-    doomSet.emplace(f.doomKey, idx);
-    f.inDoom = true;
+    else
+        doomTrack(idx);
 }
 
-// The release clock is the latest committed end cycle: a frame
-// competes for dispatch only once its arrival is inside the committed
-// horizon. The cursor sweeps frames in arrival order, releasing each
-// exactly once.
+// The cursor sweeps frames in arrival order, releasing each exactly
+// once. The release clock is the latest committed end cycle: a frame
+// competes for dispatch once its arrival is inside the committed
+// horizon (inclusive: arrival <= bound + kEps). A preemption point
+// instead releases everything arriving strictly before the planned
+// commit's end (arrival < bound - kEps) — only when at least one such
+// arrival is strictly more urgent than the planned frame, so FIFO
+// (constant key) never triggers it.
 void
-OnlineScheduler::releaseUpTo(double frontier)
+OnlineScheduler::releaseUpTo(double bound, bool inclusive)
 {
     const std::size_t total = totalFrames();
     while (cursor < total) {
         const std::size_t idx = idAt(cursor);
-        if (frameAt(idx).arrival > frontier + kEps)
+        const double arrival = frameAt(idx).arrival;
+        if (inclusive ? arrival > bound + kEps : arrival >= bound - kEps)
             break;
         ++cursor;
         releaseInst(idx);
     }
 }
 
-// Preemptive release: everything arriving strictly before the
-// tentatively planned commit's end joins the ready set now — called
-// only when at least one such arrival is strictly more urgent than
-// the planned frame, so FIFO (constant key) never triggers it.
-void
-OnlineScheduler::releaseWindow(double end)
-{
-    const std::size_t total = totalFrames();
-    while (cursor < total) {
-        const std::size_t idx = idAt(cursor);
-        if (frameAt(idx).arrival >= end - kEps)
-            break;
-        ++cursor;
-        releaseInst(idx);
-    }
-}
-
-// Fault-aware placement on one sub-accelerator: the earliest start at
-// or after `earliest` that is outside every known outage, before the
-// sub-accelerator's permanent failure, and memory-feasible. The
-// throttle factor is sampled at the start and held for the whole layer
-// (layers are atomic). Termination: each round either returns or
-// strictly advances `s` to a memory event boundary past an
-// availability point — both finite sets.
+// Placement on one sub-accelerator: the earliest start at or after
+// `earliest` that is memory-feasible and, under faults, outside every
+// known outage and before the sub-accelerator's permanent failure.
+// The throttle factor is sampled at the start and held for the whole
+// layer (layers are atomic). Without faults the first memory fit is
+// the placement. Termination: each round either returns or strictly
+// advances `s` to a memory event boundary past an availability point
+// — both finite sets.
 bool
 OnlineScheduler::placeOn(std::size_t a, double earliest,
                          double base_cycles, double penalty,
@@ -523,16 +515,17 @@ OnlineScheduler::placeOn(std::size_t a, double earliest,
     const FaultTimeline &faults = opts.sched.faults;
     double s = earliest;
     for (;;) {
-        const double avail = faults.nextAvailable(a, s);
+        const double avail = availFrom(a, s);
         if (!std::isfinite(avail))
             return false; // dead from here on
-        const double dur =
-            base_cycles * faults.throttleFactorAt(a, avail) + penalty;
+        const double throttle =
+            faulty ? faults.throttleFactorAt(a, avail) : 1.0;
+        const double dur = base_cycles * throttle + penalty;
         const double fit = memory.firstFeasible(avail, dur, bytes);
-        if (fit == avail) {
+        if (!faulty || fit == avail) {
             out.start = fit;
             out.dur = dur;
-            out.killAt = faults.nextOnset(a, fit);
+            out.killAt = faulty ? faults.nextOnset(a, fit) : kNeverCycle;
             return true;
         }
         s = fit;
@@ -545,16 +538,14 @@ OnlineScheduler::planLayer(std::size_t inst) const
     const Frame &frame = frameAt(inst);
     const std::size_t row = frame.rowBase + frame.nextLayer;
     const std::size_t *order = activeTable->order(row);
-    const FaultTimeline &faults = opts.sched.faults;
 
     // Dataflow preference: the best-metric sub-accelerator. Under
     // faults only sub-accelerators with a finite availability point
     // from this frame's earliest start compete; the preference order
     // is otherwise unchanged.
     auto usable = [&](std::size_t a) {
-        return !faulty ||
-               std::isfinite(faults.nextAvailable(
-                   a, std::max(frame.readyTime, accAvail[a])));
+        return std::isfinite(
+            availFrom(a, std::max(frame.readyTime, accAvail[a])));
     };
     Plan plan;
     std::size_t chosen = SIZE_MAX;
@@ -606,23 +597,12 @@ OnlineScheduler::planLayer(std::size_t inst) const
                    : 0.0;
     };
 
-    if (!faulty) {
-        // Dependence + memory constrained start time.
-        const accel::StyledLayerCost &sc =
-            activeTable->cost(row, chosen);
-        plan.acc = chosen;
-        plan.contextPenalty = context_penalty(chosen);
-        plan.dur = sc.cost.cycles + plan.contextPenalty;
-        plan.start = memory.firstFeasible(
-            std::max(frame.readyTime, accAvail[chosen]), plan.dur,
-            static_cast<double>(sc.cost.l2FootprintBytes));
-        return plan;
-    }
-
-    // When placement on the chosen candidate pushes past its
-    // permanent failure, demote through the remaining usable
-    // candidates; when every candidate fails, the frame can never
-    // progress (plan.feasible = false).
+    // Dependence + memory (+ fault) constrained start time. When
+    // placement on the chosen candidate pushes past its permanent
+    // failure, demote through the remaining usable candidates; when
+    // every candidate fails, the frame can never progress
+    // (plan.feasible = false). Without faults the chosen candidate
+    // always places.
     auto try_acc = [&](std::size_t a) {
         const accel::StyledLayerCost &sc = activeTable->cost(row, a);
         Plan p;
@@ -668,11 +648,8 @@ OnlineScheduler::selectReadyIdx() const
 }
 
 // Nothing-has-arrived fallback: dispatch the nearest future arrival
-// (the policy key breaks equal-arrival ties). Exact-equal arrivals
-// (periodic streams share harmonics) take the closed-form rotated
-// winner; only sub-epsilon near-ties — floating-point pathology, not a
-// real schedule shape — take the reference implementation's
-// epsilon-tolerant scan.
+// (the policy key breaks equal-arrival ties), by the reference
+// implementation's epsilon-tolerant scan.
 std::size_t
 OnlineScheduler::selectFutureIdx(bool &stall) const
 {
@@ -689,105 +666,63 @@ OnlineScheduler::selectFutureIdx(bool &stall) const
             stall = true;
         return SIZE_MAX;
     }
-    const double m = frameAt(idAt(scan)).arrival;
 
-    // Exact-equal arrival band plus the epsilon-chained component it
-    // heads. The reference scan visits *all* pending futures, but its
-    // winner provably lies inside (and depends only on) this
+    // The epsilon-chained component headed by the earliest pending
+    // arrival. The reference scan visits *all* pending futures, but
+    // its winner provably lies inside (and depends only on) this
     // component: any frame past a > kEps arrival gap can never
     // displace a component member under the scan's tolerance rule.
     // Bounding the walk here is what makes the step incremental.
-    // Equal arrivals sit in id order (streams submit in order, the
-    // batch path sorts stably), so `run` ascends by id.
-    std::vector<std::size_t> run;  // arrival == m exactly
-    std::vector<std::size_t> comp; // epsilon-chained component
-    bool near_tie = false;
-    bool tie_known = false;
-    double chain_end = m;
+    std::vector<std::size_t> comp;
+    double chain_end = frameAt(idAt(scan)).arrival;
     for (std::size_t j = scan; j < total; ++j) {
         const std::size_t id = idAt(j);
         const Frame &f = frameAt(id);
         if (!pending(f))
             continue;
-        if (f.arrival == m) {
-            run.push_back(id);
-            comp.push_back(id);
-            continue;
-        }
-        if (!tie_known) {
-            near_tie = f.arrival <= m + kEps;
-            tie_known = true;
-        }
-        if (f.arrival <= chain_end + kEps) {
-            comp.push_back(id);
-            chain_end = f.arrival;
-        } else {
+        if (f.arrival > chain_end + kEps)
             break;
-        }
+        comp.push_back(id);
+        chain_end = f.arrival;
     }
 
     // Watermark gate: a not-yet-submitted frame (arrival >= the
-    // watermark) could still join the band, flip the near-tie, or
-    // extend the component — the decision is only closed once the
-    // watermark has passed the component by more than the tolerance.
+    // watermark) could still extend the component — the decision is
+    // only closed once the watermark has passed the component by more
+    // than the tolerance.
     if (!draining && !(watermark > chain_end + kEps)) {
         stall = true;
         return SIZE_MAX;
     }
 
-    if (near_tie) {
-        // Reference epsilon-tolerant scan, restricted to the
-        // component, in id order rotated at the round-robin cursor.
-        std::sort(comp.begin(), comp.end());
-        std::size_t inst = SIZE_MAX;
-        double best_arrival = workload::kNoDeadline;
-        double best_key = workload::kNoDeadline;
-        auto consider = [&](std::size_t cand) {
-            const Frame &cf = frameAt(cand);
-            const double key = keyOf(cand);
-            bool better =
-                inst == SIZE_MAX ||
-                cf.arrival < best_arrival - kEps ||
-                (std::abs(cf.arrival - best_arrival) <= kEps &&
-                 key < best_key);
-            if (better) {
-                inst = cand;
-                best_arrival = cf.arrival;
-                best_key = key;
-            }
-        };
-        auto split =
-            std::lower_bound(comp.begin(), comp.end(),
-                             breadth ? rotate : std::size_t{0});
-        for (auto it = split; it != comp.end(); ++it)
-            consider(*it);
-        for (auto it = comp.begin(); it != split; ++it)
-            consider(*it);
-        return inst;
-    }
-
-    // Rotated visit order over the ascending run; keep the lowest
-    // key, first seen wins ties — for constant-key FIFO that is
-    // run[start_pos], pure base order.
-    std::size_t start_pos = 0;
-    if (breadth) {
-        start_pos = static_cast<std::size_t>(
-            std::lower_bound(run.begin(), run.end(), rotate) -
-            run.begin());
-        if (start_pos == run.size())
-            start_pos = 0;
-    }
-    std::size_t best = SIZE_MAX;
-    double best_key = 0.0;
-    for (std::size_t k = 0; k < run.size(); ++k) {
-        const std::size_t cand = run[(start_pos + k) % run.size()];
+    // Visit the component in id order rotated at the round-robin
+    // cursor. On an exact-equal band every arrival ties, so this keeps
+    // the lowest key, first seen — for constant-key FIFO, pure
+    // (rotated) base order.
+    std::sort(comp.begin(), comp.end());
+    std::size_t inst = SIZE_MAX;
+    double best_arrival = workload::kNoDeadline;
+    double best_key = workload::kNoDeadline;
+    auto consider = [&](std::size_t cand) {
+        const Frame &cf = frameAt(cand);
         const double key = keyOf(cand);
-        if (best == SIZE_MAX || key < best_key) {
-            best = cand;
+        bool better = inst == SIZE_MAX ||
+                      cf.arrival < best_arrival - kEps ||
+                      (std::abs(cf.arrival - best_arrival) <= kEps &&
+                       key < best_key);
+        if (better) {
+            inst = cand;
+            best_arrival = cf.arrival;
             best_key = key;
         }
-    }
-    return best;
+    };
+    auto split = std::lower_bound(comp.begin(), comp.end(),
+                                  breadth ? rotate : std::size_t{0});
+    for (auto it = split; it != comp.end(); ++it)
+        consider(*it);
+    for (auto it = comp.begin(); it != split; ++it)
+        consider(*it);
+    return inst;
 }
 
 bool
@@ -866,22 +801,17 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
         // Progress also moved the frame's ready time: re-test it
         // directly (the shared floor sweep below cannot see a ready
         // time that outruns the floor), else re-key its doom entry.
-        if (doomDrop && f.inDoom) {
+        if (f.inDoom) {
             if (doomedNow(inst, minAvail())) {
                 dropLive(inst);
             } else if (!killed) {
-                doomSet.erase(std::make_pair(f.doomKey, inst));
-                f.doomKey =
-                    f.deadline - remCyclesRun(f.uid, f.nextLayer);
-                doomSet.emplace(f.doomKey, inst);
+                doomUntrack(inst);
+                doomTrack(inst);
             }
         }
     } else {
         readyRetire(inst);
-        if (doomDrop && f.inDoom) {
-            doomSet.erase(std::make_pair(f.doomKey, inst));
-            f.inDoom = false;
-        }
+        doomUntrack(inst);
         finishFrame(inst);
     }
     releaseUpTo(releaseFrontier);
@@ -1014,7 +944,7 @@ OnlineScheduler::tryStep()
         // The plan is pure (it reads only committed state), so it is
         // recomputed — never stored — across pauses.
         Plan plan = planLayer(selInst);
-        if (faulty && !plan.feasible) {
+        if (!plan.feasible) {
             // No usable sub-accelerator left: graceful degradation.
             dropLive(selInst);
             selInst = SIZE_MAX;
@@ -1040,7 +970,7 @@ OnlineScheduler::tryStep()
             if (hysteresis && selInst == grant)
                 threshold -= opts.sched.lstHysteresisCycles;
             if (urgentExists(end, threshold)) {
-                releaseWindow(end);
+                releaseUpTo(end, false);
                 selInst = SIZE_MAX;
                 continue;
             }
@@ -1253,32 +1183,20 @@ OnlineScheduler::admit(std::size_t model_idx, double arrival_cycle,
     // cycles) — shed it up front instead of letting it steal cycles
     // from frames that can still make their deadlines. The proof
     // reads the dead-at-cycle-0 admission view: mid-run failures are
-    // doom-sweep business, not admission business.
-    bool hopeless = false;
+    // doom-sweep business, not admission business. A hopeless frame
+    // is admitted live and shed at once, through the one drop path.
+    win.push_back(f);
+    ++liveFrames;
+    liveRemaining += f.numLayers;
     if (dropAny && has_deadline) {
         const double optimistic =
             admissionView ? admissionView->remainingCycles(f.uid, 0)
                           : table->remainingCycles(f.uid, 0);
-        hopeless =
-            f.deadline - f.arrival - optimistic < -kEps;
+        if (f.deadline - f.arrival - optimistic < -kEps) {
+            dropLive(idx);
+            return SubmitResult::Dropped;
+        }
     }
-    if (hopeless) {
-        f.numLayers = 0;
-        f.dropped = true;
-        f.finished = true;
-        win.push_back(f);
-        if (opts.retainSchedule)
-            sched.markDropped(idx);
-        ++ms.dropped;
-        ++ms.deadlineMisses;
-        ++latInfCount;
-        maxLatency = workload::kNoDeadline;
-        return SubmitResult::Dropped;
-    }
-
-    win.push_back(f);
-    ++liveFrames;
-    liveRemaining += f.numLayers;
     return SubmitResult::Accepted;
 }
 

@@ -460,9 +460,15 @@ class OnlineScheduler
     void readyRelease(std::size_t idx);
     void readyRetire(std::size_t idx);
     void readyRekey(std::size_t idx);
+    /** Key @p idx by deadline - remaining work into the doom set. */
+    void doomTrack(std::size_t idx);
+    /** Remove @p idx from the doom set (no-op if not tracked). */
+    void doomUntrack(std::size_t idx);
 
     // --- Dispatch-loop helpers ---
     double remCyclesRun(std::size_t uid, std::size_t layer) const;
+    /** @p cycle projected through the fault timeline on @p a. */
+    double availFrom(std::size_t a, double cycle) const;
     double minAvail() const;
     double retirementFloor() const;
     bool doomedNow(std::size_t idx, double now_floor) const;
@@ -470,8 +476,7 @@ class OnlineScheduler
     void rekeyDoomSet();
     void dropLive(std::size_t idx);
     void releaseInst(std::size_t idx);
-    void releaseUpTo(double frontier);
-    void releaseWindow(double end);
+    void releaseUpTo(double bound, bool inclusive = true);
     bool placeOn(std::size_t a, double earliest, double base_cycles,
                  double penalty, double bytes, Plan &out) const;
     Plan planLayer(std::size_t inst) const;

@@ -2,22 +2,28 @@
  * @file
  * Parallel DSE engine tests: (i) Herald::explore must return
  * bit-identical results (point ordering, summaries, bestIdx) for any
- * thread count, and (ii) the event-timeline MemoryTracker must agree
- * with a brute-force occupancy reference on randomized workloads.
+ * thread count, (ii) concurrent CostModel::evaluate() calls must
+ * return exactly the serial results and fill one entry per distinct
+ * key, and (iii) the event-timeline MemoryTracker must agree with a
+ * brute-force occupancy reference on randomized workloads.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <set>
 #include <vector>
 
+#include "cost/cost_model.hh"
 #include "dnn/model_zoo.hh"
 #include "dse/herald_dse.hh"
 #include "sched/memory_tracker.hh"
 #include "util/logging.hh"
 #include "util/math_utils.hh"
+#include "util/thread_pool.hh"
 #include "workload/workload.hh"
 
 namespace
@@ -106,6 +112,109 @@ TEST_F(ParallelDseTest, BinaryRefinementRoundIsIdenticalToo)
     dse::DseResult parallel =
         exploreWithThreads(4, dse::SearchStrategy::Binary);
     expectIdentical(serial, parallel);
+}
+
+// ---------------------------------------------------------------
+// CostModel memo under concurrent evaluate()
+// ---------------------------------------------------------------
+
+/** Every LayerCost field as a bit pattern, for bit-equality. */
+std::vector<std::uint64_t>
+costBits(const cost::LayerCost &c)
+{
+    return {util::doubleBits(c.cycles),
+            util::doubleBits(c.latencySec),
+            util::doubleBits(c.energyUnits),
+            util::doubleBits(c.energyMj),
+            util::doubleBits(c.computeCycles),
+            util::doubleBits(c.nocCycles),
+            util::doubleBits(c.dramCycles),
+            util::doubleBits(c.mappingUtil),
+            util::doubleBits(c.edgeUtil),
+            util::doubleBits(c.effectiveUtil),
+            util::doubleBits(c.l2ReadBytes),
+            util::doubleBits(c.l2WriteBytes),
+            util::doubleBits(c.nocBytes),
+            util::doubleBits(c.dramBytes),
+            c.l2FootprintBytes,
+            c.macs,
+            util::doubleBits(c.macEnergy),
+            util::doubleBits(c.l1EnergyTotal),
+            util::doubleBits(c.l2EnergyTotal),
+            util::doubleBits(c.nocEnergyTotal),
+            util::doubleBits(c.dramEnergyTotal),
+            util::doubleBits(c.staticEnergyTotal)};
+}
+
+TEST_F(ParallelDseTest, ConcurrentCostMemoMatchesSerialEvaluation)
+{
+    // AR/VR-A's unique layers x 3 styles x 2 resource sets,
+    // interleaved so concurrent threads race on the same keys.
+    const workload::Workload wl = workload::arvrA();
+    cost::SubAccResources small_res;
+    small_res.numPes = 256;
+    small_res.bwGBps = 8.0;
+    cost::SubAccResources big_res;
+    big_res.numPes = 1024;
+    big_res.bwGBps = 16.0;
+    const cost::SubAccResources *resources[] = {&small_res, &big_res};
+
+    struct Query
+    {
+        const dnn::Layer *layer;
+        DataflowStyle style;
+        const cost::SubAccResources *res;
+    };
+    std::vector<Query> queries;
+    std::set<std::vector<std::uint64_t>> keys;
+    for (std::size_t u = 0; u < wl.numUniqueModels(); ++u) {
+        for (const dnn::Layer &layer : wl.uniqueModel(u).layers()) {
+            for (const DataflowStyle style : dataflow::kAllStyles) {
+                for (const cost::SubAccResources *res : resources) {
+                    queries.push_back({&layer, style, res});
+                    std::vector<std::uint64_t> key;
+                    for (std::uint64_t v : layer.canonical().identity())
+                        key.push_back(v);
+                    key.push_back(static_cast<std::uint64_t>(style));
+                    for (std::uint64_t v : res->identity())
+                        key.push_back(v);
+                    keys.insert(key);
+                }
+            }
+        }
+    }
+    // Each query twice, the second pass in reverse: hits and misses
+    // of the same key land on different threads.
+    std::vector<std::size_t> order(2 * queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        order[i] = i;
+        order[order.size() - 1 - i] = i;
+    }
+
+    cost::CostModel serial;
+    std::vector<cost::LayerCost> expected;
+    for (const Query &q : queries)
+        expected.push_back(serial.evaluate(*q.layer, q.style, *q.res));
+
+    cost::CostModel shared;
+    std::vector<cost::LayerCost> got(order.size());
+    util::ThreadPool pool(4);
+    pool.parallelFor(0, order.size(), [&](std::size_t i) {
+        const Query &q = queries[order[i]];
+        got[i] = shared.evaluate(*q.layer, q.style, *q.res);
+    });
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(costBits(got[i]), costBits(expected[order[i]])) << i;
+    EXPECT_EQ(shared.cacheSize(), keys.size());
+    EXPECT_EQ(serial.cacheSize(), keys.size());
+
+    // The style is part of the key: same layer and resources under
+    // two styles are two entries.
+    cost::CostModel two;
+    two.evaluate(*queries[0].layer, DataflowStyle::NVDLA, small_res);
+    two.evaluate(*queries[0].layer, DataflowStyle::ShiDiannao,
+                 small_res);
+    EXPECT_EQ(two.cacheSize(), 2u);
 }
 
 // ---------------------------------------------------------------

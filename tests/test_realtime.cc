@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "accel/accelerator.hh"
 #include "dnn/model_zoo.hh"
@@ -650,6 +651,72 @@ TEST_F(RealtimeTest, PreemptionBeatsRunToCompletionLst)
         EXPECT_LT(s_pre_drop.computeSla(wl).deadlineMisses,
                   rtc_sla.deadlineMisses)
             << "frames=" << frames;
+    }
+}
+
+TEST_F(RealtimeTest, NothingReadyFallbackPicksRotatedBandMember)
+{
+    // Three periodic streams share period and phase, and the period
+    // far exceeds a band's makespan, so every band lands on an idle
+    // accelerator and its first pick comes from the nothing-ready
+    // fallback. Streams 0 and 2 (ids 0-2 and 6-8) tie
+    // on the most urgent key under both EDF and LST; the less urgent
+    // stream 1 (ids 3-5) commits last in each band, so breadth-first
+    // rotation resumes past it and the fallback picks stream 2's
+    // frame — an unrotated scan would pick stream 0's. No reference
+    // oracle covers LST, so the sequence is pinned.
+    const double period = 2e7;
+    const double phase = period / 2;
+    dnn::Model conv_net("ConvNet");
+    conv_net.addLayer(dnn::makeConv("c1", 64, 3, 58, 58, 3, 3));
+    conv_net.addLayer(dnn::makeConv("c2", 128, 64, 28, 28, 3, 3));
+    conv_net.addLayer(dnn::makeFullyConnected("fc", 10, 128));
+    dnn::Model fc_net("FcNet");
+    fc_net.addLayer(dnn::makeFullyConnected("f1", 1024, 1024));
+    fc_net.addLayer(dnn::makeFullyConnected("f2", 256, 1024));
+    Workload wl("banded");
+    wl.addPeriodicModel(conv_net, 3, period, 0.5 * period, phase);
+    wl.addPeriodicModel(fc_net, 3, period, 0.75 * period, phase);
+    wl.addPeriodicModel(conv_net, 3, period, 0.5 * period, phase);
+    Accelerator acc = miniHda();
+
+    struct Placed
+    {
+        std::size_t instance;
+        std::size_t layer;
+        std::size_t acc;
+        double start;
+    };
+    // Deadlines dominate slack here, so LST and EDF agree.
+    const std::vector<Placed> expected = {
+        {0, 0, 1, 10000000},   {6, 0, 1, 10020766},
+        {0, 1, 0, 10020766},   {6, 1, 0, 10168615.5},
+        {0, 2, 0, 10316465},   {6, 2, 0, 10317439},
+        {3, 0, 0, 10318413},   {3, 1, 0, 10592546.75},
+        {7, 0, 1, 30000000},   {1, 0, 1, 30020766},
+        {7, 1, 0, 30020766},   {1, 1, 0, 30168615.5},
+        {7, 2, 0, 30316465},   {1, 2, 0, 30317439},
+        {4, 0, 0, 30318413},   {4, 1, 0, 30592546.75},
+        {8, 0, 1, 50000000},   {2, 0, 1, 50020766},
+        {8, 1, 0, 50020766},   {2, 1, 0, 50168615.5},
+        {8, 2, 0, 50316465},   {2, 2, 0, 50317439},
+        {5, 0, 0, 50318413},   {5, 1, 0, 50592546.75},
+    };
+    for (sched::Policy policy : {sched::Policy::Lst, sched::Policy::Edf}) {
+        SchedulerOptions opts;
+        opts.policy = policy;
+        opts.ordering = sched::Ordering::BreadthFirst;
+        opts.postProcess = false;
+        Schedule s = HeraldScheduler(model, opts).schedule(wl, acc);
+        EXPECT_EQ(s.validate(wl, acc), "");
+        ASSERT_EQ(s.entries().size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            const sched::ScheduledLayer &e = s.entries()[i];
+            EXPECT_EQ(e.instanceIdx, expected[i].instance) << i;
+            EXPECT_EQ(e.layerIdx, expected[i].layer) << i;
+            EXPECT_EQ(e.accIdx, expected[i].acc) << i;
+            EXPECT_EQ(e.startCycle, expected[i].start) << i;
+        }
     }
 }
 
