@@ -7,8 +7,8 @@
  *  - bounded memory: max RSS (getrusage) must not grow past a slack
  *    budget after the warmup high-water mark — a leak or an unbounded
  *    window turns directly into RSS growth at million-frame scale;
- *  - live-state gauges (window frames, ready set, un-retired entries
- *    and memory intervals) stay bounded throughout;
+ *  - live-state gauges (window frames, ready set, un-retired
+ *    entries) stay bounded throughout;
  *  - accounting integrity: admitted == completed + dropped, no
  *    frames left live after drain.
  *
@@ -145,7 +145,6 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
     std::uint64_t max_window = 0;
     std::uint64_t max_ready = 0;
     std::uint64_t max_entries = 0;
-    std::uint64_t max_intervals = 0;
     std::uint64_t submitted = 0;
 
     const Clock::time_point start = Clock::now();
@@ -160,7 +159,6 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
             max_window = std::max(max_window, g.windowFrames);
             max_ready = std::max(max_ready, g.readyFrames);
             max_entries = std::max(max_entries, g.liveEntries);
-            max_intervals = std::max(max_intervals, g.liveIntervals);
         }
     }
     eng.drain();
@@ -213,7 +211,6 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
         "  \"gauges\": {\"max_window_frames\": %" PRIu64
         ", \"max_ready_frames\": %" PRIu64
         ", \"max_live_entries\": %" PRIu64
-        ", \"max_live_intervals\": %" PRIu64
         ", \"retired_entries\": %" PRIu64 "}\n"
         "}\n",
         small ? "small" : "full", st.submittedFrames,
@@ -223,7 +220,7 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
         jsonSafeMs(st.p999LatencyCycles), st.completedFrames,
         st.deadlineMisses, st.droppedFrames, st.rejectedFrames,
         rss_warmup_mb, rss_final_mb, rss_growth_mb, max_window,
-        max_ready, max_entries, max_intervals, st.retiredEntries);
+        max_ready, max_entries, st.retiredEntries);
 
     // --- Hard serving-contract assertions (always on) ---
     bool ok = true;

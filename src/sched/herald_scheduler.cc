@@ -5,8 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "sched/buffer_lanes.hh"
 #include "sched/layer_cost_table.hh"
-#include "sched/memory_tracker.hh"
 #include "sched/online_scheduler.hh"
 #include "util/logging.hh"
 
@@ -113,25 +113,6 @@ HeraldScheduler::schedule(const workload::Workload &wl,
     return schedule;
 }
 
-namespace
-{
-
-/** Rebuild a memory tracker mirroring the schedule's intervals. */
-MemoryTracker
-buildTracker(const std::vector<ScheduledLayer> &entries,
-             std::uint64_t capacity)
-{
-    MemoryTracker tracker(capacity);
-    tracker.reserve(entries.size());
-    for (const ScheduledLayer &e : entries) {
-        tracker.add(e.startCycle, e.duration(),
-                    static_cast<double>(e.l2FootprintBytes));
-    }
-    return tracker;
-}
-
-} // namespace
-
 void
 HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                                      const workload::Workload &wl,
@@ -221,48 +202,64 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                    : std::max(arrival, entries[pred].endCycle);
     };
 
-    // Tracker and per-sub-accelerator time order are built once and
-    // maintained incrementally: both passes only retime entries, and
-    // every retime updates the tracker (move) and the order (splice)
-    // in place, so no per-pass rebuild or re-sort is needed. Entry
-    // start times on one sub-accelerator are strictly increasing
-    // (positive durations, no overlap), so the maintained order is
-    // the unique sorted order the per-pass sort would recompute.
-    MemoryTracker tracker =
-        buildTracker(entries, acc.globalBufferBytes());
-    auto by_start = [&](std::size_t a, std::size_t b) {
-        return entries[a].startCycle < entries[b].startCycle;
+    // The buffer lanes double as each sub-accelerator's time order.
+    // They are built once: both passes only retime entries, and every
+    // retime moves one slot (splicing it to its new position for a
+    // gap-fill) and mirrors the slot into its entry, so no per-pass
+    // rebuild or re-sort is needed. Entry start times on one
+    // sub-accelerator are strictly increasing (every layer lasts
+    // longer than kEps, and the lanes panic on disorder), so the
+    // maintained order is the unique sorted order a per-pass sort
+    // would recompute.
+    using Slot = BufferLanes::Slot;
+    BufferLanes lanes(acc.globalBufferBytes(), schedule.numSubAccs());
+    {
+        std::vector<std::vector<Slot>> by_acc(schedule.numSubAccs());
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            const ScheduledLayer &e = entries[i];
+            by_acc[e.accIdx].push_back(
+                {e.startCycle, e.endCycle,
+                 static_cast<double>(e.l2FootprintBytes), i});
+        }
+        for (std::size_t a = 0; a < by_acc.size(); ++a) {
+            std::sort(by_acc[a].begin(), by_acc[a].end(),
+                      [](const Slot &x, const Slot &y) {
+                          return x.start < y.start;
+                      });
+            for (const Slot &slot : by_acc[a])
+                lanes.append(a, slot);
+        }
+    }
+    auto retime = [&](std::size_t a, std::size_t from, std::size_t to,
+                      double new_start) {
+        lanes.move(a, from, to, new_start);
+        const Slot &slot = lanes.lane(a)[to];
+        entries[slot.entry].startCycle = slot.start;
+        entries[slot.entry].endCycle = slot.end;
     };
-    std::vector<std::vector<std::size_t>> per_acc(
-        schedule.numSubAccs());
-    for (std::size_t i = 0; i < entries.size(); ++i)
-        per_acc[entries[i].accIdx].push_back(i);
-    for (auto &vec : per_acc)
-        std::sort(vec.begin(), vec.end(), by_start);
 
-    // Gap-fill one gap (Fig. 9): the idle window before vec[pos]
-    // (pos == 0 is the leading window before the sub-accelerator's
-    // first entry — with staggered arrivals a frame pinned at its
-    // arrival can leave a long head gap that later-queued but
-    // already-arrived work should fill). The first of the next
-    // lookaheadDepth entries that fits moves to the earliest point
-    // inside the gap its dependences and arrival allow, and is
-    // spliced to its new slot at pos so the order stays the
-    // sub-accelerator's time order. Returns whether an entry moved.
-    auto fill_gap = [&](std::vector<std::size_t> &vec,
-                        std::size_t pos) {
-        double gap_start =
-            pos == 0 ? 0.0 : entries[vec[pos - 1]].endCycle;
-        double gap_end = entries[vec[pos]].startCycle;
+    // Gap-fill one gap (Fig. 9) on lane a: the idle window before
+    // slot pos (pos == 0 is the leading window before the
+    // sub-accelerator's first entry — with staggered arrivals a frame
+    // pinned at its arrival can leave a long head gap that
+    // later-queued but already-arrived work should fill). The first of
+    // the next lookaheadDepth entries that fits moves to the earliest
+    // point inside the gap its dependences and arrival allow, and is
+    // spliced to slot pos so the lane stays the sub-accelerator's time
+    // order. Returns whether an entry moved.
+    auto fill_gap = [&](std::size_t a, std::size_t pos) {
+        const BufferLanes::Lane &vec = lanes.lane(a);
+        double gap_start = pos == 0 ? 0.0 : vec[pos - 1].end;
+        double gap_end = vec[pos].start;
         if (gap_end - gap_start <= kEps)
             return false;
         int depth = 0;
         for (std::size_t j = pos;
              j < vec.size() && depth < opts.lookaheadDepth;
              ++j, ++depth) {
-            if (faulty && pinned[vec[j]])
+            if (faulty && pinned[vec[j].entry])
                 continue;
-            ScheduledLayer &cand = entries[vec[j]];
+            const ScheduledLayer &cand = entries[vec[j].entry];
             double dur = cand.duration();
             double earliest = std::max(gap_start, dep_ready(cand));
             if (earliest + dur > gap_end + kEps)
@@ -293,34 +290,25 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                                : 0.0;
                 };
                 const ScheduledLayer *new_prev =
-                    pos == 0 ? nullptr : &entries[vec[pos - 1]];
-                const ScheduledLayer &displaced = entries[vec[pos]];
+                    pos == 0 ? nullptr : &entries[vec[pos - 1].entry];
+                const ScheduledLayer &displaced = entries[vec[pos].entry];
                 if (pen(cand, new_prev) != cand.contextPenaltyCycles ||
                     pen(displaced, &cand) !=
                         displaced.contextPenaltyCycles) {
                     continue;
                 }
                 if (j + 1 < vec.size()) {
-                    const ScheduledLayer &orphan = entries[vec[j + 1]];
-                    if (pen(orphan, &entries[vec[j - 1]]) !=
+                    const ScheduledLayer &orphan =
+                        entries[vec[j + 1].entry];
+                    if (pen(orphan, &entries[vec[j - 1].entry]) !=
                         orphan.contextPenaltyCycles) {
                         continue;
                     }
                 }
             }
-            if (!tracker.feasible(
-                    earliest, dur,
-                    static_cast<double>(cand.l2FootprintBytes),
-                    vec[j])) {
+            if (!lanes.feasible(earliest, dur, vec[j].bytes, &vec[j]))
                 continue;
-            }
-            tracker.move(vec[j], earliest);
-            cand.startCycle = earliest;
-            cand.endCycle = earliest + dur;
-            std::rotate(vec.begin() + static_cast<std::ptrdiff_t>(pos),
-                        vec.begin() + static_cast<std::ptrdiff_t>(j),
-                        vec.begin() +
-                            static_cast<std::ptrdiff_t>(j + 1));
+            retime(a, j, pos, earliest);
             return true;
         }
         return false;
@@ -330,56 +318,50 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
     // scan left of pos found no move before this one, and a gap
     // p' < pos - lookaheadDepth - 1 sees exactly what it saw then,
     // so restarting at 0 would find no move there again. The move
-    // spliced vec[j] into [pos, j]; gap p' reads only
-    //  - vec[p'-1 .. p'+lookaheadDepth] (its bounds, candidates,
+    // spliced slot j into [pos, j]; gap p' reads only
+    //  - slots p'-1 .. p'+lookaheadDepth (its bounds, candidates,
     //    context-penalty neighbours and orphan), all left of pos;
     //  - dep_ready of those candidates: only the moved entry's
     //    successor changed, and it lies after pos on the timeline;
-    //  - tracker events up to (vec[p'].startCycle + kEps) + kEps
+    //  - buffer intervals starting by (slot p' start + kEps) + kEps
     //    (a candidate ends by the gap end + kEps, occupancy reads
     //    kEps past its query point), while the moved interval's old
-    //    and new windows start at or after vec[pos-1].endCycle.
-    // The last point holds when the order is time-sorted and every
-    // entry lasts longer than 2 kEps. Fault-killed entries can be
-    // shorter, so it is checked, in the arithmetic the tracker uses,
-    // on the last gap skipped (starts are sorted, so it bounds the
-    // rest); when it fails the scan restarts at 0. Either way the
-    // moves are exactly those of a restart from 0.
+    //    and new windows start at or after slot pos-1's end.
+    // The last point holds when every entry lasts longer than 2 kEps.
+    // Fault-killed entries can be shorter, so it is checked, in the
+    // arithmetic the lanes use, on the last gap skipped (starts are
+    // sorted, so it bounds the rest); when it fails the scan restarts
+    // at 0. Either way the moves are exactly those of a restart
+    // from 0.
     const std::size_t lookahead =
         static_cast<std::size_t>(opts.lookaheadDepth);
-    auto resume_at = [&](const std::vector<std::size_t> &vec,
-                         std::size_t pos, bool sorted) -> std::size_t {
-        if (!sorted || pos <= lookahead + 1)
+    auto resume_at = [&](const BufferLanes::Lane &vec,
+                         std::size_t pos) -> std::size_t {
+        if (pos <= lookahead + 1)
             return 0;
         const std::size_t r = pos - lookahead - 1;
-        const double reach =
-            (entries[vec[r - 1]].startCycle + kEps) + kEps;
-        return reach < entries[vec[pos - 1]].endCycle ? r : 0;
+        const double reach = (vec[r - 1].start + kEps) + kEps;
+        return reach < vec[pos - 1].end ? r : 0;
     };
 
     for (int pass = 0; pass < opts.maxPostPasses; ++pass) {
         bool changed = false;
 
         // Pull pass: shift entries earlier preserving order.
-        for (auto &vec : per_acc) {
+        for (std::size_t a = 0; a < lanes.numLanes(); ++a) {
+            const BufferLanes::Lane &vec = lanes.lane(a);
             for (std::size_t pos = 0; pos < vec.size(); ++pos) {
-                if (faulty && pinned[vec[pos]])
+                if (faulty && pinned[vec[pos].entry])
                     continue;
-                ScheduledLayer &e = entries[vec[pos]];
-                double acc_prev_end =
-                    pos == 0 ? 0.0 : entries[vec[pos - 1]].endCycle;
+                const ScheduledLayer &e = entries[vec[pos].entry];
+                double acc_prev_end = pos == 0 ? 0.0 : vec[pos - 1].end;
                 double new_start =
                     std::max(dep_ready(e), acc_prev_end);
                 if (new_start < e.startCycle - kEps &&
                     window_ok(e, new_start) &&
-                    tracker.feasible(
-                        new_start, e.duration(),
-                        static_cast<double>(e.l2FootprintBytes),
-                        vec[pos])) {
-                    tracker.move(vec[pos], new_start);
-                    double dur = e.duration();
-                    e.startCycle = new_start;
-                    e.endCycle = new_start + dur;
+                    lanes.feasible(new_start, e.duration(),
+                                   vec[pos].bytes, &vec[pos])) {
+                    retime(a, pos, pos, new_start);
                     changed = true;
                 }
             }
@@ -387,25 +369,20 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
 
         // Gap-fill pass: scan the gaps left to right, resuming
         // shortly before each move (see resume_at), with at most
-        // vec.size() + 8 moves per sub-accelerator.
-        for (auto &vec : per_acc) {
+        // lane size + 8 moves per sub-accelerator.
+        for (std::size_t a = 0; a < lanes.numLanes(); ++a) {
+            const BufferLanes::Lane &vec = lanes.lane(a);
             const std::size_t max_moves = vec.size() + 8;
             std::size_t moves = 0;
-            bool sorted = std::is_sorted(vec.begin(), vec.end(),
-                                         by_start);
             std::size_t pos = 0;
             while (pos < vec.size() && moves < max_moves) {
-                if (!fill_gap(vec, pos)) {
+                if (!fill_gap(a, pos)) {
                     ++pos;
                     continue;
                 }
                 changed = true;
                 ++moves;
-                sorted = sorted &&
-                         (pos + 1 == vec.size() ||
-                          entries[vec[pos]].startCycle <=
-                              entries[vec[pos + 1]].startCycle);
-                pos = resume_at(vec, pos, sorted);
+                pos = resume_at(vec, pos);
             }
         }
 

@@ -257,11 +257,11 @@ class HeraldScheduler
 
     /**
      * Idle-time elimination (Fig. 9): pull + gap-fill sweeps.
-     * Incremental: one MemoryTracker and one per-sub-accelerator
-     * sorted order are maintained across passes and across gap-fill
-     * moves (a sorted-order splice replaces the per-move re-sort),
-     * and dependences are looked up in a flat per-(instance, layer)
-     * array. After a move at gap pos the gap-fill scan resumes at
+     * Incremental: the per-sub-accelerator BufferLanes are both the
+     * global-buffer check and each sub-accelerator's time order, and
+     * are maintained across passes and across gap-fill moves (a
+     * one-slot splice replaces the per-move re-sort); dependences
+     * are looked up in a flat per-(instance, layer) array. After a move at gap pos the gap-fill scan resumes at
      * max(0, pos - lookaheadDepth - 1) rather than 0: no gap further
      * left reads anything the move changed, so the moves are exactly
      * those of a restart from 0 (sched/reference_scheduler.hh keeps

@@ -287,6 +287,22 @@ LayerCostTable::fill(cost::CostModel &model,
         for (std::size_t row = 0; row < rows; ++row)
             fill_row(row);
     }
+    // Staging is tiled to fit a sub-accelerator's buffer share, but a
+    // layer whose smallest tile overflows the whole global buffer can
+    // never be placed.
+    const std::uint64_t capacity = acc.globalBufferBytes();
+    for (std::size_t row = 0; row < rows; ++row) {
+        for (std::size_t a = 0; a < nAcc; ++a) {
+            const std::uint64_t bytes =
+                entries[row * nAcc + a].cost.l2FootprintBytes;
+            if (bytes > capacity)
+                util::fatal("layer cost table: layer '",
+                            layer_of[row]->name(), "' stages ", bytes,
+                            " bytes on sub-accelerator ", a,
+                            ", more than the whole ", capacity,
+                            "-byte global buffer");
+        }
+    }
     foldSuffix(modelOffset, minCyc, remSuffix);
 }
 

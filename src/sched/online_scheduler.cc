@@ -67,7 +67,8 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
                                  const accel::Accelerator &acc,
                                  OnlineOptions options)
     : opts(std::move(options)), templateWl("online-templates"),
-      memory(acc.globalBufferBytes()), sched(acc.numSubAccs())
+      memory(acc.globalBufferBytes(), acc.numSubAccs()),
+      sched(acc.numSubAccs())
 {
     opts.validate();
     if (models.empty())
@@ -89,7 +90,8 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
                                  const LayerCostTable &table,
                                  OnlineOptions options)
     : opts(std::move(options)), templateWl("online-templates"),
-      memory(acc.globalBufferBytes()), sched(acc.numSubAccs())
+      memory(acc.globalBufferBytes(), acc.numSubAccs()),
+      sched(acc.numSubAccs())
 {
     opts.validate();
     if (wl.specs().empty())
@@ -754,9 +756,6 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
     // zero useful work, and the frame's chain retries from the onset.
     const bool killed =
         faulty && plan.killAt < plan.start + plan.dur - kEps;
-    memory.add(plan.start,
-               killed ? plan.killAt - plan.start : plan.dur,
-               static_cast<double>(sc.cost.l2FootprintBytes));
 
     ScheduledLayer entry;
     entry.instanceIdx = inst;
@@ -772,6 +771,10 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
     entry.l2FootprintBytes = sc.cost.l2FootprintBytes;
     entry.contextPenaltyCycles = plan.contextPenalty;
     entry.faultKilled = killed;
+    memory.append(plan.acc,
+                  {entry.startCycle, entry.endCycle,
+                   static_cast<double>(entry.l2FootprintBytes),
+                   committedLayers});
     sched.add(entry);
     ++committedLayers;
     if (killed) {
@@ -1217,7 +1220,6 @@ OnlineScheduler::scheduleWorkload()
     const std::vector<workload::Instance> &instances = wl.instances();
     win.reserve(instances.size());
     sched.reserve(wl.totalLayers());
-    memory.reserve(wl.totalLayers());
     // Frame id = instance index: workload order is the base-order
     // tie-break, and it need not be arrival order (addModel appends
     // a model's frames as one block).
@@ -1315,7 +1317,6 @@ OnlineScheduler::stats() const
     s.windowFrames = totalFrames() - winFront;
     s.readyFrames = ready.size();
     s.liveEntries = sched.entries().size();
-    s.liveIntervals = memory.liveIntervals();
     s.retiredEntries = retiredEntries;
     s.watermarkCycle = watermark < 0.0 ? 0.0 : watermark;
     s.retireFloorCycle = retireFloor;

@@ -28,7 +28,7 @@
  *   maintenancePeriod commits and admission drops, each entry that
  *   ends by the *retirement floor* (the earliest cycle any usable
  *   sub-accelerator frees up) is audited and dropped from the live
- *   Schedule and MemoryTracker, and finished frames are popped from
+ *   Schedule and buffer lanes, and finished frames are popped from
  *   the sliding window. Live state is O(in-flight frames).
  * - Overload is handled by deterministic backpressure at admission
  *   (reject when too many frames are live or the arrival span exceeds
@@ -63,9 +63,9 @@
 
 #include "cost/cost_model.hh"
 #include "dnn/model.hh"
+#include "sched/buffer_lanes.hh"
 #include "sched/herald_scheduler.hh"
 #include "sched/layer_cost_table.hh"
-#include "sched/memory_tracker.hh"
 #include "sched/schedule.hh"
 #include "workload/workload.hh"
 
@@ -180,7 +180,6 @@ struct OnlineStats
     std::uint64_t windowFrames = 0;   //!< frame states held
     std::uint64_t readyFrames = 0;    //!< ready-set size
     std::uint64_t liveEntries = 0;    //!< un-retired schedule entries
-    std::uint64_t liveIntervals = 0;  //!< un-retired memory intervals
     std::uint64_t retiredEntries = 0; //!< total retired so far
     double watermarkCycle = 0.0;
     double retireFloorCycle = 0.0;
@@ -401,7 +400,7 @@ class OnlineScheduler
     std::vector<std::size_t> arrivalOrder;
 
     // --- Dispatch-loop state ---
-    MemoryTracker memory;
+    BufferLanes memory;
     Schedule sched;
     std::vector<double> accAvail;
     std::vector<std::size_t> accLastInstance; //!< frame id

@@ -6,7 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sched/memory_tracker.hh"
+#include "sched/schedule.hh"
 #include "util/logging.hh"
 
 namespace herald::sched
@@ -59,9 +59,11 @@ namespace
  * The pre-blocking memory tracker, kept verbatim for the reference
  * path: one flat time-sorted event array with an eagerly rebuilt
  * prefix — O(events-after-position) per insert, which is what made
- * out-of-time-order schedules quadratic. Query results are
- * bit-identical to the blocked MemoryTracker (integer-valued byte
- * sums), so the oracle still certifies the production tracker.
+ * out-of-time-order schedules quadratic. It skips zero-byte
+ * intervals' events, which the production BufferLanes count; on
+ * schedules, where every layer stages a non-zero footprint, query
+ * results are bit-identical (integer-valued byte sums), so the
+ * oracle still certifies the production buffer check.
  */
 class FlatMemoryTracker
 {
@@ -600,25 +602,6 @@ referencePostProcess(Schedule &schedule,
 
 } // namespace
 
-namespace
-{
-
-/** Rebuild a memory tracker mirroring the schedule's intervals. */
-MemoryTracker
-buildTracker(const std::vector<ScheduledLayer> &entries,
-             std::uint64_t capacity)
-{
-    MemoryTracker tracker(capacity);
-    tracker.reserve(entries.size());
-    for (const ScheduledLayer &e : entries) {
-        tracker.add(e.startCycle, e.duration(),
-                    static_cast<double>(e.l2FootprintBytes));
-    }
-    return tracker;
-}
-
-} // namespace
-
 // Frozen copy of HeraldScheduler::postProcessIdleTime from before its
 // gap-fill scan resumed at the last move; do not optimize.
 void
@@ -700,8 +683,8 @@ referencePostProcessIdleTime(Schedule &schedule,
     // start times on one sub-accelerator are strictly increasing
     // (positive durations, no overlap), so the maintained order is
     // the unique sorted order the per-pass sort would recompute.
-    MemoryTracker tracker =
-        buildTracker(entries, acc.globalBufferBytes());
+    FlatMemoryTracker tracker =
+        buildFlatTracker(entries, acc.globalBufferBytes());
     std::vector<std::vector<std::size_t>> per_acc(
         schedule.numSubAccs());
     for (std::size_t i = 0; i < entries.size(); ++i)

@@ -4,8 +4,9 @@
  * bit-identical results (point ordering, summaries, bestIdx) for any
  * thread count, (ii) concurrent CostModel::evaluate() calls must
  * return exactly the serial results and fill one entry per distinct
- * key, and (iii) the event-timeline MemoryTracker must agree with a
- * brute-force occupancy reference on randomized workloads.
+ * key, and (iii) the per-sub-accelerator buffer lanes must agree
+ * with a brute-force occupancy reference on randomized lane-shaped
+ * interval sets.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +16,15 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
+#include "accel/accelerator.hh"
 #include "cost/cost_model.hh"
 #include "dnn/model_zoo.hh"
 #include "dse/herald_dse.hh"
-#include "sched/memory_tracker.hh"
+#include "sched/buffer_lanes.hh"
+#include "sched/herald_scheduler.hh"
 #include "util/logging.hh"
 #include "util/math_utils.hh"
 #include "util/thread_pool.hh"
@@ -218,7 +222,7 @@ TEST_F(ParallelDseTest, ConcurrentCostMemoMatchesSerialEvaluation)
 }
 
 // ---------------------------------------------------------------
-// MemoryTracker vs brute-force reference
+// Buffer lanes vs brute-force reference
 // ---------------------------------------------------------------
 
 /** The pre-timeline O(n^2) tracker, kept verbatim as the oracle. */
@@ -317,86 +321,214 @@ class BruteTracker
     std::vector<Interval> intervals;
 };
 
-TEST(MemoryTrackerTest, MatchesBruteForceOnRandomizedIntervals)
+TEST(BufferLanesTest, MatchesBruteForceOnLaneShapedIntervals)
 {
-    // Integer-valued times and byte counts keep every occupancy sum
-    // exact in double arithmetic, so both implementations must agree
-    // bit-for-bit on every query.
+    // Lane-shaped sets, as the schedulers build them: each
+    // sub-accelerator's intervals run back to back, with idle gaps,
+    // overhangs of up to kEps past the next start (gap-fill), zero-byte
+    // intervals and sub-kEps fault-kill-like intervals; moves retime a
+    // slot into the window left of an earlier one, as post-processing
+    // does, and retirement drops lane prefixes below a rising floor
+    // that every later query respects. Byte counts are integers, so
+    // every occupancy sum is exact and both implementations must agree
+    // bit for bit on every query.
+    using Slot = sched::BufferLanes::Slot;
+    constexpr double kEps = BruteTracker::kEps;
     const std::uint64_t capacity = 1000;
+    const std::size_t num_lanes = 3;
     util::SplitMix64 rng(42);
 
-    sched::MemoryTracker tracker(capacity);
+    sched::BufferLanes lanes(capacity, num_lanes);
     BruteTracker brute(capacity);
+    double floor = 0.0;
+    double horizon = 0.0;
+    std::size_t appended = 0, moved = 0, infeasible = 0, deferred = 0;
 
-    // Enough steps to drive the blocked timeline through several
-    // block splits (and empty-block erases via move()).
-    for (int step = 0; step < 2000; ++step) {
-        double start = static_cast<double>(rng.nextBounded(200));
-        double dur =
-            static_cast<double>(1 + rng.nextBounded(40));
-        double bytes =
-            static_cast<double>(1 + rng.nextBounded(500));
+    auto duration = [&] {
+        return rng.nextBounded(4) == 0
+                   ? kEps * rng.nextDouble()
+                   : static_cast<double>(1 + rng.nextBounded(40));
+    };
+    auto random_slot = [&]() -> const Slot * {
+        const sched::BufferLanes::Lane &lane =
+            lanes.lane(rng.nextBounded(num_lanes));
+        return lane.empty() ? nullptr
+                            : &lane[rng.nextBounded(lane.size())];
+    };
 
-        std::uint64_t action = rng.nextBounded(10);
-        if (action < 5) {
-            std::size_t a = tracker.add(start, dur, bytes);
-            std::size_t b = brute.add(start, dur, bytes);
-            ASSERT_EQ(a, b);
-        } else if (action < 7 && tracker.numIntervals() > 0) {
-            std::size_t idx =
-                rng.nextBounded(tracker.numIntervals());
-            tracker.move(idx, start);
-            brute.move(idx, start);
-        } else if (action < 9) {
-            std::size_t exclude =
-                tracker.numIntervals() > 0 && rng.nextBounded(2) == 0
-                    ? rng.nextBounded(tracker.numIntervals())
-                    : SIZE_MAX;
-            EXPECT_EQ(tracker.feasible(start, dur, bytes, exclude),
-                      brute.feasible(start, dur, bytes, exclude))
-                << "step " << step;
+    for (int step = 0; step < 4000; ++step) {
+        const std::size_t a = rng.nextBounded(num_lanes);
+        const sched::BufferLanes::Lane &lane = lanes.lane(a);
+        const std::uint64_t action = rng.nextBounded(20);
+        if (action < 8) {
+            const double dur = duration();
+            const double bytes =
+                rng.nextBounded(6) == 0
+                    ? 0.0
+                    : static_cast<double>(1 + rng.nextBounded(500));
+            double start = lane.empty()
+                               ? floor + static_cast<double>(
+                                             rng.nextBounded(50))
+                               : lane.back().end;
+            if (rng.nextBounded(3) == 0)
+                start += static_cast<double>(rng.nextBounded(30));
+            else if (rng.nextBounded(2) == 0)
+                start -= kEps * rng.nextDouble(); // overhang
+            if (!lane.empty() && (start < lane.back().start ||
+                                  lane.back().end > start + kEps))
+                start = lane.back().end;
+            const std::size_t id = brute.add(start, dur, bytes);
+            lanes.append(a, Slot{start, start + dur, bytes, id});
+            horizon = std::max(horizon, start + dur);
+            ++appended;
+        } else if (action < 11 && !lane.empty()) {
+            const std::size_t from = rng.nextBounded(lane.size());
+            const std::size_t to =
+                from - rng.nextBounded(std::min<std::size_t>(from, 4) + 1);
+            const Slot s = lane[from];
+            const double dur = s.end - s.start;
+            const double lo = to == 0 ? floor : lane[to - 1].end;
+            const double hi =
+                to < from ? lane[to].start
+                          : (from + 1 < lane.size() ? lane[from + 1].start
+                                                    : s.start + 30.0);
+            double new_start = lo + (hi - lo) * rng.nextDouble();
+            if (rng.nextBounded(3) == 0)
+                new_start = (hi + kEps) - dur; // maximal overhang
+            if (new_start < lo || new_start > hi ||
+                new_start + dur > hi + kEps)
+                continue;
+            lanes.move(a, from, to, new_start);
+            brute.move(s.entry, new_start);
+            ++moved;
+        } else if (action < 12) {
+            floor = std::min(horizon, floor + static_cast<double>(
+                                                  rng.nextBounded(60)));
+            lanes.retireBefore(floor);
         } else {
-            EXPECT_EQ(tracker.firstFeasible(start, dur, bytes),
-                      brute.firstFeasible(start, dur, bytes))
-                << "step " << step;
-        }
-
-        // Occupancy probes at random points every step.
-        for (int probe = 0; probe < 3; ++probe) {
-            double t = static_cast<double>(rng.nextBounded(260));
-            EXPECT_EQ(tracker.occupancy(t), brute.occupancyAt(t))
+            // Probe at random, just above the floor, and within kEps
+            // of an interval boundary; some windows end within kEps
+            // of an interval start.
+            const double offsets[] = {-kEps, -kEps / 2, 0.0, kEps / 2,
+                                      kEps};
+            auto jitter = [&] { return offsets[rng.nextBounded(5)]; };
+            const Slot *near = random_slot();
+            double t =
+                floor + (horizon + 20.0 - floor) * rng.nextDouble();
+            const std::uint64_t probe = rng.nextBounded(3);
+            if (probe == 1)
+                t = floor + static_cast<double>(rng.nextBounded(5)) +
+                    jitter();
+            else if (probe == 2 && near != nullptr)
+                t = (rng.nextBounded(2) ? near->start : near->end) +
+                    jitter();
+            t = std::max(t, floor);
+            double dur = duration();
+            if (near != nullptr && near->start > t &&
+                rng.nextBounded(3) == 0)
+                dur = (near->start - t) + std::abs(jitter());
+            const double bytes =
+                static_cast<double>(1 + rng.nextBounded(600));
+            const Slot *exclude =
+                rng.nextBounded(2) == 0 ? random_slot() : nullptr;
+            const std::size_t exclude_id =
+                exclude == nullptr ? SIZE_MAX : exclude->entry;
+            ASSERT_EQ(lanes.occupancy(t, exclude),
+                      brute.occupancyAt(t, exclude_id))
                 << "step " << step << " t " << t;
+            const bool fits = lanes.feasible(t, dur, bytes, exclude);
+            ASSERT_EQ(fits, brute.feasible(t, dur, bytes, exclude_id))
+                << "step " << step << " t " << t;
+            const double first = lanes.firstFeasible(t, dur, bytes);
+            ASSERT_EQ(first, brute.firstFeasible(t, dur, bytes))
+                << "step " << step << " t " << t;
+            infeasible += !fits;
+            deferred += first > t;
         }
     }
+    // The draw must reach what it claims to: moves, and a buffer
+    // that binds.
+    EXPECT_GT(appended, 1000u);
+    EXPECT_GT(moved, 100u);
+    EXPECT_GT(infeasible, 0u);
+    EXPECT_GT(deferred, 0u);
 }
 
-TEST(MemoryTrackerTest, OverCapacityRequestSerializesBehindAll)
+TEST(BufferLanesTest, FeasibilityRespectsExcludedSlot)
 {
-    sched::MemoryTracker tracker(100);
-    tracker.add(0.0, 10.0, 50.0);
-    tracker.add(5.0, 20.0, 30.0);
-    // Larger than capacity: first feasible point is after the last
-    // release, matching the reference semantics.
-    EXPECT_EQ(tracker.firstFeasible(0.0, 5.0, 200.0), 25.0);
+    sched::BufferLanes lanes(100, 1);
+    lanes.append(0, {0.0, 10.0, 80.0, 0});
+    EXPECT_FALSE(lanes.feasible(0.0, 10.0, 50.0));
+    // Excluding the resident slot frees its bytes.
+    EXPECT_TRUE(lanes.feasible(0.0, 10.0, 50.0, &lanes.lane(0)[0]));
 }
 
-TEST(MemoryTrackerTest, FeasibilityRespectsExcludedInterval)
+TEST(BufferLanesTest, ExcludedSlotStartIsNoCheckpoint)
 {
-    sched::MemoryTracker tracker(100);
-    std::size_t idx = tracker.add(0.0, 10.0, 80.0);
-    EXPECT_FALSE(tracker.feasible(0.0, 10.0, 50.0));
-    // Excluding the resident interval frees its bytes.
-    EXPECT_TRUE(tracker.feasible(0.0, 10.0, 50.0, idx));
+    // The excluded slot starts inside the window, within kEps of a
+    // slot that starts just past the window end. Checking occupancy
+    // at the excluded start would count that later slot.
+    sched::BufferLanes lanes(100, 3);
+    lanes.append(0, {0.0, 10.0, 50.0, 0});
+    lanes.append(1, {9.9999995, 20.0, 30.0, 1});
+    lanes.append(2, {10.0000001, 30.0, 70.0, 2});
+    EXPECT_TRUE(lanes.feasible(0.0, 10.0, 40.0, &lanes.lane(1)[0]));
 }
 
-TEST(MemoryTrackerTest, MoveRetimesOccupancy)
+TEST(BufferLanesTest, FirstFeasibleTakesTheEarliestEnd)
 {
-    sched::MemoryTracker tracker(100);
-    std::size_t idx = tracker.add(0.0, 10.0, 60.0);
-    EXPECT_EQ(tracker.occupancy(5.0), 60.0);
-    tracker.move(idx, 100.0);
-    EXPECT_EQ(tracker.occupancy(5.0), 0.0);
-    EXPECT_EQ(tracker.occupancy(105.0), 60.0);
+    // A sub-kEps interval inside the previous slot's overhang ends
+    // first, although it starts later.
+    sched::BufferLanes lanes(100, 1);
+    lanes.append(0, {10.0, 20.0000005, 80.0, 0});
+    lanes.append(0, {20.0, 20.0000002, 80.0, 1});
+    EXPECT_EQ(lanes.firstFeasible(0.0, 15.0, 50.0), 20.0000002);
+}
+
+TEST(BufferLanesTest, MoveRetimesAndSplicesOccupancy)
+{
+    sched::BufferLanes lanes(100, 1);
+    lanes.append(0, {0.0, 10.0, 60.0, 0});
+    EXPECT_EQ(lanes.occupancy(5.0), 60.0);
+    lanes.move(0, 0, 0, 100.0);
+    EXPECT_EQ(lanes.occupancy(5.0), 0.0);
+    EXPECT_EQ(lanes.occupancy(105.0), 60.0);
+
+    // A gap-fill move: the later slot lands before the first one.
+    lanes.append(0, {120.0, 130.0, 30.0, 1});
+    lanes.move(0, 1, 0, 50.0);
+    ASSERT_EQ(lanes.lane(0)[0].entry, 1u);
+    EXPECT_EQ(lanes.occupancy(55.0), 30.0);
+    EXPECT_EQ(lanes.occupancy(125.0), 0.0);
+}
+
+TEST(BufferLanesTest, OutOfOrderIntervalPanics)
+{
+    sched::BufferLanes lanes(100, 1);
+    lanes.append(0, {10.0, 20.0, 10.0, 0});
+    // Overlapping the previous slot by more than kEps.
+    EXPECT_THROW(lanes.append(0, {15.0, 30.0, 10.0, 1}),
+                 std::logic_error);
+    // Starting before it.
+    EXPECT_THROW(lanes.append(0, {5.0, 5.0, 10.0, 1}),
+                 std::logic_error);
+}
+
+TEST(BufferLanesTest, LayerLargerThanWholeBufferIsRejected)
+{
+    // At 16 KiB one AR/VR-A layer's smallest staging tile (19,916 B)
+    // overflows the whole global buffer; the schedule could never
+    // satisfy the buffer, so building its cost table fails.
+    util::setVerbose(false);
+    accel::AcceleratorClass tiny = accel::edgeClass();
+    tiny.globalBufferBytes = 16ull << 10;
+    const accel::Accelerator acc = accel::Accelerator::makeHda(
+        tiny, {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao},
+        {512, 512}, {8.0, 8.0});
+    cost::CostModel model;
+    sched::HeraldScheduler scheduler(model);
+    EXPECT_THROW(scheduler.schedule(workload::arvrA(), acc),
+                 std::runtime_error);
 }
 
 } // namespace

@@ -37,23 +37,67 @@ using sched::Schedule;
 using sched::SchedulerOptions;
 using workload::Workload;
 
+/**
+ * The edge chip class with its global buffer cut to @p kib KiB, small
+ * enough that the buffer binds (dispatches wait for it and
+ * post-processing moves are refused for it).
+ */
+accel::AcceleratorClass
+edgeWithBuffer(std::uint64_t kib)
+{
+    accel::AcceleratorClass chip = accel::edgeClass();
+    chip.globalBufferBytes = kib << 10;
+    return chip;
+}
+
 Accelerator
-edgeHda()
+edgeHda(const accel::AcceleratorClass &chip = accel::edgeClass())
 {
     return Accelerator::makeHda(
-        accel::edgeClass(),
-        {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao},
+        chip, {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao},
         {512, 512}, {8.0, 8.0});
 }
 
 Accelerator
-threeWayHda()
+threeWayHda(const accel::AcceleratorClass &chip = accel::edgeClass())
 {
     return Accelerator::makeHda(
-        accel::edgeClass(),
+        chip,
         {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao,
          DataflowStyle::Eyeriss},
         {512, 256, 256}, {8.0, 4.0, 4.0});
+}
+
+/** Accelerator name plus buffer size, for test labels. */
+std::string
+accLabel(const Accelerator &acc)
+{
+    return acc.name() + "@" +
+           std::to_string(acc.globalBufferBytes() >> 10) + "KiB";
+}
+
+/**
+ * Dispatches the global buffer deferred: entries that start later
+ * than max(arrival, predecessor end, previous end on their
+ * sub-accelerator). Only meaningful on a fault-free, dispatch-only
+ * schedule, whose entries are in commit order and where nothing but
+ * the buffer can hold a start back.
+ */
+std::size_t
+bufferDeferrals(const Schedule &s, const Workload &wl)
+{
+    std::vector<double> ready(wl.numInstances());
+    for (std::size_t i = 0; i < wl.numInstances(); ++i)
+        ready[i] = wl.instances()[i].arrivalCycle;
+    std::vector<double> acc_end(s.numSubAccs(), 0.0);
+    std::size_t deferred = 0;
+    for (const sched::ScheduledLayer &e : s.entries()) {
+        deferred += e.startCycle >
+                    std::max(ready[e.instanceIdx], acc_end[e.accIdx]);
+        ready[e.instanceIdx] = e.endCycle;
+        acc_end[e.accIdx] = e.endCycle;
+    }
+    return deferred;
 }
 
 /** Small mixed workload with batches and a staggered late stream. */
@@ -90,9 +134,9 @@ tinyFramesFarApart()
 /**
  * Sub-epsilon arrival ties: distinct arrivals closer than the
  * scheduler's kEps (1e-6 cycles) drive the nothing-has-arrived
- * fallback through its epsilon-tolerant reference scan (the one
- * branch the exact-equal-band closed form cannot take), including a
- * chained band that extends past the first epsilon window.
+ * fallback through its epsilon-tolerant scan of the near-tie
+ * component, including a chained band that extends past the first
+ * epsilon window.
  */
 Workload
 subEpsilonArrivals()
@@ -195,26 +239,37 @@ class SchedEquivalenceTest : public ::testing::Test
 
 TEST_F(SchedEquivalenceTest, AllScenariosAllPolicyCombinations)
 {
-    Accelerator acc = edgeHda();
-    for (const NamedWorkload &s : scenarios()) {
-        for (auto policy :
-             {sched::Policy::Fifo, sched::Policy::Edf}) {
-            for (auto ordering : {sched::Ordering::BreadthFirst,
-                                  sched::Ordering::DepthFirst}) {
-                for (bool pp : {false, true}) {
-                    SchedulerOptions opts;
-                    opts.policy = policy;
-                    opts.ordering = ordering;
-                    opts.postProcess = pp;
-                    std::string label =
-                        s.name + "/" + sched::toString(policy) +
-                        "/" + sched::toString(ordering) +
-                        (pp ? "/pp" : "/nopp");
-                    expectEquivalent(s.wl, acc, opts, label);
+    std::size_t deferred = 0;
+    for (const Accelerator &acc :
+         {edgeHda(), edgeHda(edgeWithBuffer(24))}) {
+        for (const NamedWorkload &s : scenarios()) {
+            for (auto policy :
+                 {sched::Policy::Fifo, sched::Policy::Edf}) {
+                for (auto ordering : {sched::Ordering::BreadthFirst,
+                                      sched::Ordering::DepthFirst}) {
+                    for (bool pp : {false, true}) {
+                        SchedulerOptions opts;
+                        opts.policy = policy;
+                        opts.ordering = ordering;
+                        opts.postProcess = pp;
+                        std::string label =
+                            accLabel(acc) + "/" + s.name + "/" +
+                            sched::toString(policy) + "/" +
+                            sched::toString(ordering) +
+                            (pp ? "/pp" : "/nopp");
+                        expectEquivalent(s.wl, acc, opts, label);
+                        if (!pp)
+                            deferred += bufferDeferrals(
+                                HeraldScheduler(model, opts)
+                                    .schedule(s.wl, acc),
+                                s.wl);
+                    }
                 }
             }
         }
     }
+    // The grid must bind the global buffer somewhere.
+    EXPECT_GT(deferred, 0u);
 }
 
 TEST_F(SchedEquivalenceTest, PreemptionOffStaysPr4BitIdentical)
@@ -374,7 +429,13 @@ TEST_F(SchedEquivalenceTest, PostProcessMatchesRestartFromZeroOracle)
     elastic.cooldownCycles = 1e6;
 
     std::size_t improved = 0, killed = 0, reconfigured = 0;
-    for (const Accelerator &acc : {edgeHda(), threeWayHda()}) {
+    std::size_t deferred = 0;
+    // The binding buffer is 40 KiB on the 3-way HDA: at 24 KiB on
+    // the 2-way one, elastic migrations grow a factory layer's
+    // smallest staging tile past the whole buffer, which the cost
+    // table rejects.
+    for (const Accelerator &acc : {edgeHda(), threeWayHda(),
+                                   threeWayHda(edgeWithBuffer(40))}) {
         const double horizon =
             HeraldScheduler(model).schedule(wl, acc).makespanCycles();
         const std::pair<const char *, sched::FaultTimeline>
@@ -401,7 +462,7 @@ TEST_F(SchedEquivalenceTest, PostProcessMatchesRestartFromZeroOracle)
                             SchedulerOptions off = on;
                             off.postProcess = false;
                             const std::string label =
-                                acc.name() + "/" + fault_name + "/" +
+                                accLabel(acc) + "/" + fault_name + "/" +
                                 sched::toString(policy) + "/la" +
                                 std::to_string(la) + "/ctx" +
                                 std::to_string(static_cast<int>(ctx)) +
@@ -425,6 +486,9 @@ TEST_F(SchedEquivalenceTest, PostProcessMatchesRestartFromZeroOracle)
                                       "")
                                 << label;
 
+                            if (faults.empty() && !reconfig)
+                                deferred +=
+                                    bufferDeferrals(dispatched, wl);
                             improved +=
                                 !actual.identicalTo(dispatched);
                             reconfigured +=
@@ -442,10 +506,12 @@ TEST_F(SchedEquivalenceTest, PostProcessMatchesRestartFromZeroOracle)
         }
     }
     // The grid must exercise what it claims to: moves, fault kills
-    // (pinned entries) and reconfiguration windows.
+    // (pinned entries), reconfiguration windows and a global buffer
+    // that binds.
     EXPECT_GT(improved, 0u);
     EXPECT_GT(killed, 0u);
     EXPECT_GT(reconfigured, 0u);
+    EXPECT_GT(deferred, 0u);
 }
 
 TEST_F(SchedEquivalenceTest, TableOrderMatchesMetricSort)

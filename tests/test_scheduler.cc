@@ -289,17 +289,20 @@ TEST_F(SchedulerTest, ContextChangePenaltyExtendsSchedule)
 
 TEST_F(SchedulerTest, MemoryConstraintRespectedUnderTinyBuffer)
 {
-    // Shrink the buffer to force serialization; the schedule must
-    // still validate (the checker sweeps occupancy).
-    accel::AcceleratorClass tiny = accel::edgeClass();
-    tiny.globalBufferBytes = 96ull << 10;
-    Accelerator acc = Accelerator::makeHda(
-        tiny, {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao},
-        {512, 512}, {8.0, 8.0});
-    HeraldScheduler scheduler(model);
-    Workload wl = miniWorkload();
-    Schedule s = scheduler.schedule(wl, acc);
-    EXPECT_EQ(s.validate(wl, acc), "");
+    // Shrink the buffer; the schedule must still validate (the
+    // checker sweeps occupancy). At 24 KiB the buffer binds and
+    // dispatches wait for it.
+    for (std::uint64_t kib : {96u, 24u}) {
+        accel::AcceleratorClass tiny = accel::edgeClass();
+        tiny.globalBufferBytes = kib << 10;
+        Accelerator acc = Accelerator::makeHda(
+            tiny, {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao},
+            {512, 512}, {8.0, 8.0});
+        HeraldScheduler scheduler(model);
+        Workload wl = miniWorkload();
+        Schedule s = scheduler.schedule(wl, acc);
+        EXPECT_EQ(s.validate(wl, acc), "") << kib << " KiB";
+    }
 }
 
 TEST_F(SchedulerTest, SummaryAggregatesEnergy)
