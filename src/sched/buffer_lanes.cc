@@ -45,24 +45,40 @@ walkBack(const Lane &lane, Lane::const_iterator after, double x,
     }
 }
 
-/** Panic unless @p next may follow @p prev on one lane. */
-void
+/**
+ * Panic unless @p next may follow @p prev on one lane; return whether
+ * they overlap (@p prev ends after @p next starts).
+ */
+bool
 checkOrder(const Slot &prev, const Slot &next)
 {
     if (next.start < prev.start || prev.end > next.start + kEps)
         util::panic("buffer lanes: interval [", next.start, ", ",
                     next.end, ") cannot follow [", prev.start, ", ",
                     prev.end, ") on one sub-accelerator");
+    return prev.end > next.start;
 }
 
 } // namespace
+
+bool
+BufferLanes::cannotBind(double bytes) const
+{
+    // Without overlap at most one slot per lane counts at any point,
+    // so occupancy(t, exclude) <= laneMaxSum; both sums are exact.
+    return !overlap && laneMaxSum + bytes <= capacity + kEps;
+}
 
 void
 BufferLanes::append(std::size_t a, const Slot &slot)
 {
     Lane &lane = lanes[a];
     if (!lane.empty())
-        checkOrder(lane.back(), slot);
+        overlap |= checkOrder(lane.back(), slot);
+    if (slot.bytes > laneMax[a]) {
+        laneMaxSum += slot.bytes - laneMax[a];
+        laneMax[a] = slot.bytes;
+    }
     lane.push_back(slot);
 }
 
@@ -80,9 +96,9 @@ BufferLanes::move(std::size_t a, std::size_t from, std::size_t to,
     // The slots around `from` were ordered and still are; only the
     // moved slot's new neighbours need a check.
     if (to > 0)
-        checkOrder(lane[to - 1], lane[to]);
+        overlap |= checkOrder(lane[to - 1], lane[to]);
     if (to + 1 < lane.size())
-        checkOrder(lane[to], lane[to + 1]);
+        overlap |= checkOrder(lane[to], lane[to + 1]);
 }
 
 void
@@ -114,6 +130,8 @@ bool
 BufferLanes::feasible(double start, double dur, double bytes,
                       const Slot *exclude) const
 {
+    if (cannotBind(bytes))
+        return true;
     // Occupancy is piecewise constant: check the window start and
     // every slot start strictly inside the window.
     auto fits = [&](double t) {
@@ -136,6 +154,8 @@ double
 BufferLanes::firstFeasible(double start, double dur,
                            double bytes) const
 {
+    if (cannotBind(bytes))
+        return start;
     double t = start;
     for (int guard = 0; guard < 1 << 16; ++guard) {
         if (feasible(t, dur, bytes))
@@ -156,7 +176,8 @@ BufferLanes::firstFeasible(double start, double dur,
                 next = std::min(next, it->end);
         }
         if (!std::isfinite(next))
-            return t; // nothing to release; give up at t
+            util::panic("buffer lanes: ", bytes,
+                        " bytes exceed the whole buffer of ", capacity);
         t = next;
     }
     util::panic("buffer lanes: first feasible start failed to "

@@ -16,6 +16,17 @@
  * reaches the point. Feasibility of a window checks the window start
  * and every slot start strictly inside it.
  *
+ * Most buffers never bind, and the lanes prove it from their own
+ * slots before any scan. While no slot has ever ended after its lane
+ * successor starts, each lane's slots are disjoint half-open
+ * intervals, so at most one per lane counts at any point and
+ * occupancy never exceeds the sum of the per-lane maxima of slot
+ * bytes. When that sum plus the request fits, feasible() is true and
+ * firstFeasible() returns its start without a scan. The maxima and
+ * the overlap flag are sticky: retirement and moves never lower or
+ * clear them, so the bound holds for every later state. Only a
+ * gap-fill overhang (at most kEps) sets the flag.
+ *
  * Byte counts are integer-valued doubles, so every sum is exact and
  * each query agrees bit for bit with a brute-force scan over all
  * intervals (asserted in test_parallel_dse.cc). A layer larger than
@@ -46,7 +57,7 @@ class BufferLanes
 
     BufferLanes(std::uint64_t capacity_bytes, std::size_t num_lanes)
         : capacity(static_cast<double>(capacity_bytes)),
-          lanes(num_lanes)
+          lanes(num_lanes), laneMax(num_lanes, 0.0)
     {
     }
 
@@ -74,6 +85,14 @@ class BufferLanes
     double occupancy(double t, const Slot *exclude = nullptr) const;
 
     /**
+     * Whether no placement of @p bytes can overflow the buffer: the
+     * slots never overlapped on a lane and the sum of the per-lane
+     * maxima plus @p bytes fits. Then feasible() and firstFeasible()
+     * answer without a scan.
+     */
+    bool cannotBind(double bytes) const;
+
+    /**
      * Whether adding @p bytes over [start, start+dur) keeps occupancy
      * within capacity. @p exclude skips one slot (for moves).
      */
@@ -82,7 +101,8 @@ class BufferLanes
 
     /**
      * Earliest time >= @p start at which [t, t+dur) with @p bytes is
-     * feasible; advances over interval ends.
+     * feasible; advances over interval ends. Panics if @p bytes
+     * exceeds the whole buffer.
      */
     double firstFeasible(double start, double dur,
                          double bytes) const;
@@ -90,6 +110,9 @@ class BufferLanes
   private:
     double capacity;
     std::vector<Lane> lanes;
+    std::vector<double> laneMax; //!< per lane, the most bytes any slot held
+    double laneMaxSum = 0.0;
+    bool overlap = false; //!< a slot once ended after its successor began
 };
 
 } // namespace herald::sched

@@ -321,7 +321,22 @@ class BruteTracker
     std::vector<Interval> intervals;
 };
 
-TEST(BufferLanesTest, MatchesBruteForceOnLaneShapedIntervals)
+/** What one lane-shaped draw reached. */
+struct LaneDrawCounts
+{
+    std::size_t appended = 0, moved = 0, infeasible = 0, deferred = 0;
+    std::size_t proven = 0, scanned = 0;
+};
+
+/**
+ * One randomized draw of lane-shaped intervals into a buffer of
+ * @p capacity bytes, checking every query against BruteTracker.
+ * Without @p overhangs no slot ends after its lane successor starts,
+ * so the lanes' slack proof stays available.
+ */
+void
+drawLaneShaped(std::uint64_t capacity, bool overhangs,
+               LaneDrawCounts &n)
 {
     // Lane-shaped sets, as the schedulers build them: each
     // sub-accelerator's intervals run back to back, with idle gaps,
@@ -334,7 +349,6 @@ TEST(BufferLanesTest, MatchesBruteForceOnLaneShapedIntervals)
     // bit for bit on every query.
     using Slot = sched::BufferLanes::Slot;
     constexpr double kEps = BruteTracker::kEps;
-    const std::uint64_t capacity = 1000;
     const std::size_t num_lanes = 3;
     util::SplitMix64 rng(42);
 
@@ -342,8 +356,6 @@ TEST(BufferLanesTest, MatchesBruteForceOnLaneShapedIntervals)
     BruteTracker brute(capacity);
     double floor = 0.0;
     double horizon = 0.0;
-    std::size_t appended = 0, moved = 0, infeasible = 0, deferred = 0;
-
     auto duration = [&] {
         return rng.nextBounded(4) == 0
                    ? kEps * rng.nextDouble()
@@ -372,15 +384,16 @@ TEST(BufferLanesTest, MatchesBruteForceOnLaneShapedIntervals)
                                : lane.back().end;
             if (rng.nextBounded(3) == 0)
                 start += static_cast<double>(rng.nextBounded(30));
-            else if (rng.nextBounded(2) == 0)
+            else if (overhangs && rng.nextBounded(2) == 0)
                 start -= kEps * rng.nextDouble(); // overhang
             if (!lane.empty() && (start < lane.back().start ||
-                                  lane.back().end > start + kEps))
+                                  lane.back().end >
+                                      start + (overhangs ? kEps : 0.0)))
                 start = lane.back().end;
             const std::size_t id = brute.add(start, dur, bytes);
             lanes.append(a, Slot{start, start + dur, bytes, id});
             horizon = std::max(horizon, start + dur);
-            ++appended;
+            ++n.appended;
         } else if (action < 11 && !lane.empty()) {
             const std::size_t from = rng.nextBounded(lane.size());
             const std::size_t to =
@@ -393,14 +406,14 @@ TEST(BufferLanesTest, MatchesBruteForceOnLaneShapedIntervals)
                           : (from + 1 < lane.size() ? lane[from + 1].start
                                                     : s.start + 30.0);
             double new_start = lo + (hi - lo) * rng.nextDouble();
-            if (rng.nextBounded(3) == 0)
+            if (overhangs && rng.nextBounded(3) == 0)
                 new_start = (hi + kEps) - dur; // maximal overhang
             if (new_start < lo || new_start > hi ||
-                new_start + dur > hi + kEps)
+                new_start + dur > hi + (overhangs ? kEps : 0.0))
                 continue;
             lanes.move(a, from, to, new_start);
             brute.move(s.entry, new_start);
-            ++moved;
+            ++n.moved;
         } else if (action < 12) {
             floor = std::min(horizon, floor + static_cast<double>(
                                                   rng.nextBounded(60)));
@@ -433,6 +446,7 @@ TEST(BufferLanesTest, MatchesBruteForceOnLaneShapedIntervals)
                 rng.nextBounded(2) == 0 ? random_slot() : nullptr;
             const std::size_t exclude_id =
                 exclude == nullptr ? SIZE_MAX : exclude->entry;
+            const bool proven = lanes.cannotBind(bytes);
             ASSERT_EQ(lanes.occupancy(t, exclude),
                       brute.occupancyAt(t, exclude_id))
                 << "step " << step << " t " << t;
@@ -442,16 +456,35 @@ TEST(BufferLanesTest, MatchesBruteForceOnLaneShapedIntervals)
             const double first = lanes.firstFeasible(t, dur, bytes);
             ASSERT_EQ(first, brute.firstFeasible(t, dur, bytes))
                 << "step " << step << " t " << t;
-            infeasible += !fits;
-            deferred += first > t;
+            n.infeasible += !fits;
+            n.deferred += first > t;
+            n.proven += proven;
+            n.scanned += !proven;
         }
     }
+}
+
+TEST(BufferLanesTest, MatchesBruteForceOnLaneShapedIntervals)
+{
     // The draw must reach what it claims to: moves, and a buffer
     // that binds.
-    EXPECT_GT(appended, 1000u);
-    EXPECT_GT(moved, 100u);
-    EXPECT_GT(infeasible, 0u);
-    EXPECT_GT(deferred, 0u);
+    LaneDrawCounts n;
+    drawLaneShaped(1000, /*overhangs=*/true, n);
+    EXPECT_GT(n.appended, 1000u);
+    EXPECT_GT(n.moved, 100u);
+    EXPECT_GT(n.infeasible, 0u);
+    EXPECT_GT(n.deferred, 0u);
+
+    // Without overhangs, a capacity between the per-lane maxima (up
+    // to 3 x 500 B) and their sum plus the largest request (600 B)
+    // puts queries on both sides of the slack proof: the proven
+    // answers and the scanned ones must both match the brute force.
+    LaneDrawCounts slack;
+    drawLaneShaped(1800, /*overhangs=*/false, slack);
+    EXPECT_GT(slack.moved, 100u);
+    EXPECT_GT(slack.proven, 300u);
+    EXPECT_GT(slack.scanned, 300u);
+    EXPECT_GT(slack.infeasible, 0u);
 }
 
 TEST(BufferLanesTest, FeasibilityRespectsExcludedSlot)
@@ -500,6 +533,32 @@ TEST(BufferLanesTest, MoveRetimesAndSplicesOccupancy)
     ASSERT_EQ(lanes.lane(0)[0].entry, 1u);
     EXPECT_EQ(lanes.occupancy(55.0), 30.0);
     EXPECT_EQ(lanes.occupancy(125.0), 0.0);
+}
+
+TEST(BufferLanesTest, OverhangSendsSlackLanesBackToTheScan)
+{
+    // One lane of 100-B slots provably leaves room for 900 B, until
+    // a gap-fill move leaves the moved slot ending kEps/2 after its
+    // new successor starts: two slots of the lane may then count at
+    // once, so the proof is off for good and the scan answers.
+    sched::BufferLanes lanes(1000, 1);
+    lanes.append(0, {0.0, 10.0, 100.0, 0});
+    lanes.append(0, {20.0, 30.0, 100.0, 1});
+    lanes.append(0, {40.0, 45.0, 100.0, 2});
+    EXPECT_TRUE(lanes.cannotBind(900.0));
+    lanes.move(0, 2, 1, 15.0 + 5e-7);
+    EXPECT_FALSE(lanes.cannotBind(0.0));
+    EXPECT_EQ(lanes.occupancy(20.0 - 6e-7), 200.0);
+    EXPECT_FALSE(lanes.feasible(20.0 - 6e-7, 1.0, 900.0));
+    EXPECT_TRUE(lanes.feasible(20.0 - 6e-7, 1.0, 800.0));
+}
+
+TEST(BufferLanesTest, FirstFeasiblePanicsOnRequestLargerThanBuffer)
+{
+    // No release can make room for more bytes than the whole buffer.
+    sched::BufferLanes lanes(100, 1);
+    lanes.append(0, {0.0, 10.0, 50.0, 0});
+    EXPECT_THROW(lanes.firstFeasible(0.0, 5.0, 150.0), std::logic_error);
 }
 
 TEST(BufferLanesTest, OutOfOrderIntervalPanics)

@@ -19,6 +19,7 @@
 
 #include "accel/accelerator.hh"
 #include "dnn/model_zoo.hh"
+#include "sched/buffer_lanes.hh"
 #include "sched/fault_model.hh"
 #include "sched/herald_scheduler.hh"
 #include "sched/layer_cost_table.hh"
@@ -98,6 +99,36 @@ bufferDeferrals(const Schedule &s, const Workload &wl)
         acc_end[e.accIdx] = e.endCycle;
     }
     return deferred;
+}
+
+/**
+ * Whether the buffer lanes of @p s prove that its largest staging
+ * footprint cannot overflow the buffer, so that a lane query for it
+ * skips the occupancy scan. The lanes are built as
+ * postProcessIdleTime builds them, one start-sorted lane per
+ * sub-accelerator. On a dispatch-only schedule they also equal the
+ * dispatch engine's final lanes less its retired prefixes, which
+ * neither the per-lane maxima nor the overlap flag forget.
+ */
+bool
+largestFootprintCannotBind(const Schedule &s, const Accelerator &acc)
+{
+    std::vector<sched::ScheduledLayer> by_start = s.entries();
+    std::stable_sort(by_start.begin(), by_start.end(),
+                     [](const sched::ScheduledLayer &x,
+                        const sched::ScheduledLayer &y) {
+                         return x.startCycle < y.startCycle;
+                     });
+    sched::BufferLanes lanes(acc.globalBufferBytes(), s.numSubAccs());
+    std::uint64_t largest = 0;
+    for (std::size_t i = 0; i < by_start.size(); ++i) {
+        const sched::ScheduledLayer &e = by_start[i];
+        lanes.append(e.accIdx,
+                     {e.startCycle, e.endCycle,
+                      static_cast<double>(e.l2FootprintBytes), i});
+        largest = std::max(largest, e.l2FootprintBytes);
+    }
+    return lanes.cannotBind(static_cast<double>(largest));
 }
 
 /** Small mixed workload with batches and a staggered late stream. */
@@ -512,6 +543,29 @@ TEST_F(SchedEquivalenceTest, PostProcessMatchesRestartFromZeroOracle)
     EXPECT_GT(killed, 0u);
     EXPECT_GT(reconfigured, 0u);
     EXPECT_GT(deferred, 0u);
+}
+
+TEST_F(SchedEquivalenceTest, BufferLanesProveSlackOnlyWhereItHolds)
+{
+    // The DSE's setting, AR/VR-A on the 3-way edge HDA at its full
+    // buffer: the lanes prove the largest footprint fits next to
+    // every other lane's largest, so neither dispatch nor
+    // post-processing scans occupancy.
+    const Workload arvr = workload::arvrA();
+    const Accelerator full = threeWayHda();
+    SchedulerOptions off;
+    off.postProcess = false;
+    EXPECT_TRUE(largestFootprintCannotBind(
+        HeraldScheduler(model, off).schedule(arvr, full), full));
+    EXPECT_TRUE(largestFootprintCannotBind(
+        HeraldScheduler(model).schedule(arvr, full), full));
+
+    // The binding 40 KiB 3-way HDA of the post-processing oracle
+    // test: the proof fails, and every lane query scans.
+    const Workload factory = workload::faultedFactory(64);
+    const Accelerator small = threeWayHda(edgeWithBuffer(40));
+    EXPECT_FALSE(largestFootprintCannotBind(
+        HeraldScheduler(model, off).schedule(factory, small), small));
 }
 
 TEST_F(SchedEquivalenceTest, TableOrderMatchesMetricSort)
