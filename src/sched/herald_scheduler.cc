@@ -109,37 +109,66 @@ HeraldScheduler::schedule(const workload::Workload &wl,
                            std::move(engine_opts));
     Schedule schedule = engine.scheduleWorkload();
     if (opts.postProcess)
-        postProcessIdleTime(schedule, wl, acc);
+        postProcessIdleTime(schedule, engine.takeLanes(), wl);
     return schedule;
 }
 
 void
 HeraldScheduler::postProcessIdleTime(Schedule &schedule,
-                                     const workload::Workload &wl,
-                                     const accel::Accelerator &acc)
+                                     BufferLanes lanes,
+                                     const workload::Workload &wl)
     const
 {
     std::vector<ScheduledLayer> &entries = schedule.mutableEntries();
     if (entries.empty())
         return;
 
-    // Dependence index: entry of each (instance, layer) pair, flat
-    // over per-instance layer offsets. Fault-killed entries are
-    // skipped: a killed pair reappears as a later re-execution, and
-    // only the execution that completed the work is a dependence
-    // anchor.
+    // The buffer lanes double as each sub-accelerator's time order.
+    // They are the dispatch engine's own: retain mode never retires a
+    // slot, and a slot's entry is its schedule index. Both passes only
+    // retime entries, and every retime moves one slot (splicing it to
+    // its new position for a gap-fill) and mirrors the slot into its
+    // entry, so the slots stay the entries' windows and no rebuild or
+    // re-sort is needed. Entry start times on one sub-accelerator are
+    // strictly increasing (every layer lasts longer than kEps, and
+    // the lanes panic on disorder), so the maintained order is the
+    // unique sorted order a per-pass sort would recompute.
+    using Slot = BufferLanes::Slot;
+    std::size_t slots = 0;
+    for (std::size_t a = 0; a < lanes.numLanes(); ++a)
+        slots += lanes.lane(a).size();
+    if (lanes.numLanes() != schedule.numSubAccs() ||
+        slots != entries.size())
+        util::panic("postProcessIdleTime: ", lanes.numLanes(),
+                    " lanes with ", slots, " slots for ",
+                    schedule.numSubAccs(), " sub-accelerators and ",
+                    entries.size(), " entries");
+
+    // Dependences, flat per entry: the entry that ran the previous
+    // layer of the same instance (kNone for layer 0) and the
+    // instance's arrival. Entries are in commit order, and a layer
+    // commits only after its predecessor completed, so that
+    // predecessor is the instance's latest completed entry so far.
+    // Fault-killed entries are skipped: a killed pair reappears as a
+    // later re-execution, and only the execution that completed the
+    // work is a dependence anchor.
     constexpr std::size_t kNone = SIZE_MAX;
-    std::vector<std::size_t> layer_base(wl.numInstances());
-    std::size_t num_layers = 0;
-    for (std::size_t i = 0; i < wl.numInstances(); ++i) {
-        layer_base[i] = num_layers;
-        num_layers += wl.modelOf(i).numLayers();
-    }
-    std::vector<std::size_t> dep_entry(num_layers, kNone);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (!entries[i].faultKilled)
-            dep_entry[layer_base[entries[i].instanceIdx] +
-                      entries[i].layerIdx] = i;
+    std::vector<std::size_t> pred_of(entries.size());
+    std::vector<double> arrival_of(entries.size());
+    {
+        std::vector<std::size_t> last_done(wl.numInstances(), kNone);
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            const ScheduledLayer &e = entries[i];
+            std::size_t &last = last_done[e.instanceIdx];
+            pred_of[i] = e.layerIdx == 0 ? kNone : last;
+            if (pred_of[i] != kNone &&
+                entries[pred_of[i]].layerIdx + 1 != e.layerIdx)
+                util::panic("postProcessIdleTime: entry ", i,
+                            " does not follow its predecessor");
+            arrival_of[i] = wl.instances()[e.instanceIdx].arrivalCycle;
+            if (!e.faultKilled)
+                last = i;
+        }
     }
 
     // Fault pinning: idle-time elimination must not rewrite fault
@@ -173,15 +202,14 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
     // window (the dispatch loop never placed work there either).
     const std::vector<ReconfigEvent> &reconfigs =
         schedule.reconfigEvents();
-    auto window_ok = [&](const ScheduledLayer &e, double new_start) {
-        if (faulty && !faults.windowUndisturbed(e.accIdx, new_start,
-                                                e.duration()))
+    auto window_ok = [&](std::size_t a, double new_start, double dur) {
+        if (faulty && !faults.windowUndisturbed(a, new_start, dur))
             return false;
         for (const ReconfigEvent &w : reconfigs) {
-            if (e.accIdx != w.donor && e.accIdx != w.receiver)
+            if (a != w.donor && a != w.receiver)
                 continue;
             if (new_start < w.endCycle - kEps &&
-                new_start + e.duration() > w.startCycle + kEps)
+                new_start + dur > w.startCycle + kEps)
                 return false;
         }
         return true;
@@ -190,46 +218,13 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
     // Earliest legal start: the predecessor's end, but never before
     // the instance's arrival (pull/gap-fill must not hoist a frame's
     // layers ahead of the frame itself).
-    auto dep_ready = [&](const ScheduledLayer &e) {
-        double arrival =
-            wl.instances()[e.instanceIdx].arrivalCycle;
-        if (e.layerIdx == 0)
-            return arrival;
-        const std::size_t pred =
-            dep_entry[layer_base[e.instanceIdx] + e.layerIdx - 1];
+    auto dep_ready = [&](std::size_t i) {
+        const std::size_t pred = pred_of[i];
         return pred == kNone
-                   ? arrival
-                   : std::max(arrival, entries[pred].endCycle);
+                   ? arrival_of[i]
+                   : std::max(arrival_of[i], entries[pred].endCycle);
     };
 
-    // The buffer lanes double as each sub-accelerator's time order.
-    // They are built once: both passes only retime entries, and every
-    // retime moves one slot (splicing it to its new position for a
-    // gap-fill) and mirrors the slot into its entry, so no per-pass
-    // rebuild or re-sort is needed. Entry start times on one
-    // sub-accelerator are strictly increasing (every layer lasts
-    // longer than kEps, and the lanes panic on disorder), so the
-    // maintained order is the unique sorted order a per-pass sort
-    // would recompute.
-    using Slot = BufferLanes::Slot;
-    BufferLanes lanes(acc.globalBufferBytes(), schedule.numSubAccs());
-    {
-        std::vector<std::vector<Slot>> by_acc(schedule.numSubAccs());
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            const ScheduledLayer &e = entries[i];
-            by_acc[e.accIdx].push_back(
-                {e.startCycle, e.endCycle,
-                 static_cast<double>(e.l2FootprintBytes), i});
-        }
-        for (std::size_t a = 0; a < by_acc.size(); ++a) {
-            std::sort(by_acc[a].begin(), by_acc[a].end(),
-                      [](const Slot &x, const Slot &y) {
-                          return x.start < y.start;
-                      });
-            for (const Slot &slot : by_acc[a])
-                lanes.append(a, slot);
-        }
-    }
     auto retime = [&](std::size_t a, std::size_t from, std::size_t to,
                       double new_start) {
         lanes.move(a, from, to, new_start);
@@ -257,16 +252,17 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
         for (std::size_t j = pos;
              j < vec.size() && depth < opts.lookaheadDepth;
              ++j, ++depth) {
-            if (faulty && pinned[vec[j].entry])
+            const Slot &slot = vec[j];
+            if (faulty && pinned[slot.entry])
                 continue;
-            const ScheduledLayer &cand = entries[vec[j].entry];
-            double dur = cand.duration();
-            double earliest = std::max(gap_start, dep_ready(cand));
+            const double dur = slot.end - slot.start;
+            const double earliest =
+                std::max(gap_start, dep_ready(slot.entry));
             if (earliest + dur > gap_end + kEps)
                 continue; // does not fit in the gap
-            if (cand.startCycle <= earliest + kEps)
+            if (slot.start <= earliest + kEps)
                 continue; // no improvement
-            if (!window_ok(cand, earliest))
+            if (!window_ok(a, earliest, dur))
                 continue; // would land on a fault
             // Context-change penalties are baked into entry
             // durations at dispatch time from the then-current
@@ -289,6 +285,7 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                                ? P
                                : 0.0;
                 };
+                const ScheduledLayer &cand = entries[slot.entry];
                 const ScheduledLayer *new_prev =
                     pos == 0 ? nullptr : &entries[vec[pos - 1].entry];
                 const ScheduledLayer &displaced = entries[vec[pos].entry];
@@ -306,7 +303,7 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                     }
                 }
             }
-            if (!lanes.feasible(earliest, dur, vec[j].bytes, &vec[j]))
+            if (!lanes.feasible(earliest, dur, slot.bytes, &slot))
                 continue;
             retime(a, j, pos, earliest);
             return true;
@@ -351,16 +348,17 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
         for (std::size_t a = 0; a < lanes.numLanes(); ++a) {
             const BufferLanes::Lane &vec = lanes.lane(a);
             for (std::size_t pos = 0; pos < vec.size(); ++pos) {
-                if (faulty && pinned[vec[pos].entry])
+                const Slot &slot = vec[pos];
+                if (faulty && pinned[slot.entry])
                     continue;
-                const ScheduledLayer &e = entries[vec[pos].entry];
-                double acc_prev_end = pos == 0 ? 0.0 : vec[pos - 1].end;
-                double new_start =
-                    std::max(dep_ready(e), acc_prev_end);
-                if (new_start < e.startCycle - kEps &&
-                    window_ok(e, new_start) &&
-                    lanes.feasible(new_start, e.duration(),
-                                   vec[pos].bytes, &vec[pos])) {
+                const double dur = slot.end - slot.start;
+                const double acc_prev_end =
+                    pos == 0 ? 0.0 : vec[pos - 1].end;
+                const double new_start =
+                    std::max(dep_ready(slot.entry), acc_prev_end);
+                if (new_start < slot.start - kEps &&
+                    window_ok(a, new_start, dur) &&
+                    lanes.feasible(new_start, dur, slot.bytes, &slot)) {
                     retime(a, pos, pos, new_start);
                     changed = true;
                 }

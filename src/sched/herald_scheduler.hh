@@ -23,11 +23,12 @@
  * (sched/online_scheduler.hh) — instances are released from an
  * arrival-sorted cursor into ordered ready sets, so picking the next
  * instance is O(log n) instead of an O(n_instances) scan per layer.
- * Step 2 then runs on the retained schedule. The original
- * per-layer-query O(L x N) implementation survives as a
- * test/bench-only verification oracle (sched/reference_scheduler.hh,
- * outside libherald): both paths produce bit-identical schedules
- * (asserted by tests/test_sched_equivalence.cc).
+ * Step 2 then runs on the retained schedule and the engine's own
+ * buffer lanes. The original per-layer-query O(L x N) implementation
+ * survives as a test/bench-only verification oracle
+ * (sched/reference_scheduler.hh, outside libherald): both paths
+ * produce bit-identical schedules (asserted by
+ * tests/test_sched_equivalence.cc).
  */
 
 #pragma once
@@ -44,6 +45,7 @@
 namespace herald::sched
 {
 
+class BufferLanes;
 class LayerCostTable;
 
 /** Initial layer ordering heuristic (Sec. IV-D). */
@@ -256,22 +258,27 @@ class HeraldScheduler
     SchedulerOptions opts;
 
     /**
-     * Idle-time elimination (Fig. 9): pull + gap-fill sweeps.
-     * Incremental: the per-sub-accelerator BufferLanes are both the
-     * global-buffer check and each sub-accelerator's time order, and
-     * are maintained across passes and across gap-fill moves (a
-     * one-slot splice replaces the per-move re-sort); dependences
-     * are looked up in a flat per-(instance, layer) array. After a move at gap pos the gap-fill scan resumes at
-     * max(0, pos - lookaheadDepth - 1) rather than 0: no gap further
-     * left reads anything the move changed, so the moves are exactly
-     * those of a restart from 0 (sched/reference_scheduler.hh keeps
-     * that scan as an oracle). Cost: O(passes x (N + moves x LA) x
-     * LA) candidate checks for N entries and look-ahead LA, instead
-     * of O(passes x moves x N x LA).
+     * Idle-time elimination (Fig. 9): pull + gap-fill sweeps over
+     * @p lanes, the dispatch engine's own buffer lanes
+     * (OnlineScheduler::takeLanes()). They are both the global-buffer
+     * check and each sub-accelerator's time order, inherited rather
+     * than rebuilt: retain mode never retires a slot and a slot's
+     * entry is its schedule index, so they cover every entry (checked:
+     * a slot count other than the entry count panics). They are
+     * maintained across passes and across gap-fill moves (a one-slot
+     * splice replaces a re-sort), and the scans read start and
+     * duration off the slots; dependences come from flat per-entry
+     * predecessor and arrival arrays. After a move at gap pos the
+     * gap-fill scan resumes at max(0, pos - lookaheadDepth - 1)
+     * rather than 0: no gap further left reads anything the move
+     * changed, so the moves are exactly those of a restart from 0
+     * (sched/reference_scheduler.hh keeps that scan as an oracle).
+     * Cost: O(passes x (N + moves x LA) x LA) candidate checks for N
+     * entries and look-ahead LA, instead of O(passes x moves x N x
+     * LA).
      */
-    void postProcessIdleTime(Schedule &schedule,
-                             const workload::Workload &wl,
-                             const accel::Accelerator &acc) const;
+    void postProcessIdleTime(Schedule &schedule, BufferLanes lanes,
+                             const workload::Workload &wl) const;
 };
 
 } // namespace herald::sched

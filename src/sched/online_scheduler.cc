@@ -323,7 +323,7 @@ OnlineScheduler::minAvail() const
 }
 
 double
-OnlineScheduler::retirementFloor() const
+OnlineScheduler::retirementFloor()
 {
     // minAvail() is a valid retirement floor but stalls whenever one
     // sub-accelerator sees little work: its idle availability pins
@@ -336,9 +336,20 @@ OnlineScheduler::retirementFloor() const
     // max(availability, readyTime), so min over sub-accs of
     // max(nextAvailable, P) bounds every future start — and it keeps
     // advancing with the stream even on a lopsided accelerator mix.
+    // The scan walks frames in arrival order. Finished frames never
+    // bound P and never become unfinished, so it starts past the
+    // finished prefix for good; and a frame's readyTime is never
+    // below its arrival, so it stops at the first arrival at or past
+    // P, which no later frame can lower.
+    floorScan = std::max(floorScan, winFront);
+    while (floorScan < totalFrames() &&
+           frameAt(idAt(floorScan)).finished)
+        ++floorScan;
     double p = draining ? kNeverCycle : std::max(watermark, 0.0);
-    for (std::size_t idx = winFront; idx < totalFrames(); ++idx) {
-        const Frame &f = frameAt(idx);
+    for (std::size_t rank = floorScan; rank < totalFrames(); ++rank) {
+        const Frame &f = frameAt(idAt(rank));
+        if (f.arrival >= p)
+            break;
         if (!f.finished)
             p = std::min(p, f.readyTime);
     }
@@ -1237,6 +1248,19 @@ OnlineScheduler::scheduleWorkload()
     releaseUpTo(releaseFrontier);
     drain();
     return std::move(sched);
+}
+
+BufferLanes
+OnlineScheduler::takeLanes()
+{
+    if (!opts.retainSchedule)
+        util::fatal("online scheduler: takeLanes() requires "
+                    "retainSchedule — the serving engine retires "
+                    "lane slots");
+    if (!draining)
+        util::fatal("online scheduler: takeLanes() needs a drained "
+                    "engine");
+    return std::move(memory);
 }
 
 void

@@ -9,8 +9,11 @@
  * drop/preemption/fault/reconfig hooks at the layer boundary).
  * HeraldScheduler::schedule() is a thin front end over it: bind the
  * engine to the workload and a prebuilt LayerCostTable, run
- * scheduleWorkload(), then post-process the retained schedule. A
- * serving scenario drives the same loop one frame at a time:
+ * scheduleWorkload(), then post-process the retained schedule on the
+ * engine's own buffer lanes (takeLanes()). Retain mode never retires
+ * a lane slot and a slot's entry is its schedule index, so the
+ * handed-over lanes are exactly the lanes the schedule would rebuild.
+ * A serving scenario drives the same loop one frame at a time:
  *
  * - submit() admits one frame (nondecreasing arrivals) and advances
  *   the scheduler as far as the *watermark* — the latest submitted
@@ -256,6 +259,16 @@ class OnlineScheduler
      */
     Schedule scheduleWorkload();
 
+    /**
+     * Move the buffer lanes out (retainSchedule mode, once drained;
+     * fatal otherwise). Retain mode never retires a slot, so lane a
+     * holds every entry on sub-accelerator a in start order, and a
+     * slot's entry is its index into schedule().entries() — exactly
+     * the lanes post-processing needs, so it inherits them instead
+     * of rebuilding them. The engine is spent afterwards.
+     */
+    BufferLanes takeLanes();
+
     /** Rolling counters; callable at any point in the stream. */
     OnlineStats stats() const;
 
@@ -422,6 +435,13 @@ class OnlineScheduler
     // --- Maintenance / watchdog ---
     std::size_t commitsSinceMaintenance = 0;
     double retireFloor = 0.0;
+    /**
+     * Arrival rank retirementFloor() scans from: every frame before
+     * it has finished, and a finished frame never bounds the floor.
+     * In retain mode winFront never moves, so without this cursor
+     * each maintenance would rescan every admitted frame.
+     */
+    std::size_t floorScan = 0;
     std::vector<double> lastRetiredEnd; //!< per sub-accelerator
     std::uint64_t retiredEntries = 0;
 
@@ -469,7 +489,7 @@ class OnlineScheduler
     /** @p cycle projected through the fault timeline on @p a. */
     double availFrom(std::size_t a, double cycle) const;
     double minAvail() const;
-    double retirementFloor() const;
+    double retirementFloor();
     bool doomedNow(std::size_t idx, double now_floor) const;
     void refreshDegraded(double floor);
     void rekeyDoomSet();

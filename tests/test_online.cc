@@ -15,6 +15,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "accel/accelerator.hh"
@@ -402,6 +403,165 @@ TEST_F(OnlineTest, ScheduleWorkloadRejectsMisuse)
 }
 
 // ---------------------------------------------------------------
+// Lane handover: post-processing inherits the engine's buffer lanes
+// ---------------------------------------------------------------
+
+/**
+ * The buffer lanes rebuilt from @p s: one lane per sub-accelerator,
+ * its entries in start order, each slot naming its schedule index.
+ */
+std::vector<sched::BufferLanes::Lane>
+lanesOf(const Schedule &s)
+{
+    std::vector<sched::BufferLanes::Lane> lanes(s.numSubAccs());
+    const std::vector<sched::ScheduledLayer> &entries = s.entries();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const sched::ScheduledLayer &e = entries[i];
+        lanes[e.accIdx].push_back(
+            {e.startCycle, e.endCycle,
+             static_cast<double>(e.l2FootprintBytes), i});
+    }
+    for (sched::BufferLanes::Lane &lane : lanes)
+        std::stable_sort(lane.begin(), lane.end(),
+                         [](const sched::BufferLanes::Slot &x,
+                            const sched::BufferLanes::Slot &y) {
+                             return x.start < y.start;
+                         });
+    return lanes;
+}
+
+TEST_F(OnlineTest, HandedOverLanesEqualLanesRebuiltFromTheSchedule)
+{
+    // Retain mode never retires a lane slot, and a slot's entry is
+    // its schedule index: the lanes the engine hands to
+    // post-processing are exactly the lanes the schedule rebuilds.
+    const Workload factory = workload::faultedFactory(64);
+    const Workload backlog = backlogged().materialize("backlogged");
+    // Dense conv frames backlog their preferred sub-accelerator while
+    // the other idles: the skew BacklogSkew migrates against.
+    ArrivalSource skewed;
+    skewed.addStream(convNet(), 5e5, 4e6, 0.0, 10);
+    skewed.addStream(fcNet(), 8e6, 9e6, 2e6, 3);
+    const Workload skew = skewed.materialize("skewed");
+    const Accelerator acc = miniHda();
+    accel::AcceleratorClass small = accel::edgeClass();
+    small.globalBufferBytes = 24u << 10;
+    const Accelerator binding = Accelerator::makeHda(
+        small, {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao},
+        {512, 512}, {8.0, 8.0});
+    const Workload arvr = workload::arvrA();
+
+    SchedulerOptions faulted;
+    faulted.policy = Policy::Lst;
+    faulted.dropPolicy = DropPolicy::DoomedFrames;
+    faulted.preemption = Preemption::AtLayerBoundary;
+    faulted.faults = midRunFaults();
+    SchedulerOptions elastic;
+    elastic.reconfig.policy = sched::Reconfig::BacklogSkew;
+    elastic.reconfig.skewThresholdCycles = 1e6;
+    elastic.reconfig.migrationQuantumPes = 64;
+    elastic.reconfig.drainCycles = 1e4;
+    elastic.reconfig.perPeRewireCycles = 10.0;
+    elastic.reconfig.cooldownCycles = 1e5;
+    SchedulerOptions context;
+    context.contextChangeCycles = 5000.0;
+    const SchedulerOptions plain;
+
+    // Each case also checks that it reaches the state it is named
+    // for: a fault kill, a reconfiguration, a context penalty, and
+    // lanes that cannot prove the largest footprint fits.
+    using Entries = std::vector<sched::ScheduledLayer>;
+    struct Case
+    {
+        const char *name;
+        const Workload &wl;
+        const Accelerator &acc;
+        const SchedulerOptions &sopts;
+        bool (*reached)(const Schedule &, const sched::BufferLanes &);
+    };
+    const Case cases[] = {
+        {"faulted", backlog, acc, faulted,
+         [](const Schedule &s, const sched::BufferLanes &) {
+             const Entries &es = s.entries();
+             return std::any_of(es.begin(), es.end(),
+                                [](const sched::ScheduledLayer &e) {
+                                    return e.faultKilled;
+                                });
+         }},
+        {"elastic", skew, acc, elastic,
+         [](const Schedule &s, const sched::BufferLanes &) {
+             return !s.reconfigEvents().empty();
+         }},
+        {"context", factory, acc, context,
+         [](const Schedule &s, const sched::BufferLanes &) {
+             const Entries &es = s.entries();
+             return std::any_of(es.begin(), es.end(),
+                                [](const sched::ScheduledLayer &e) {
+                                    return e.contextPenaltyCycles > 0.0;
+                                });
+         }},
+        {"24KiB", arvr, binding, plain,
+         [](const Schedule &s, const sched::BufferLanes &lanes) {
+             std::uint64_t largest = 0;
+             for (const sched::ScheduledLayer &e : s.entries())
+                 largest = std::max(largest, e.l2FootprintBytes);
+             return !lanes.cannotBind(static_cast<double>(largest));
+         }},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        OnlineOptions oopts;
+        oopts.sched = c.sopts;
+        oopts.sched.postProcess = false;
+        oopts.retainSchedule = true;
+        const sched::LayerCostTable table = sched::LayerCostTable::build(
+            model, c.wl, c.acc, oopts.sched.metric,
+            oopts.sched.rdaOverheads, 1);
+        OnlineScheduler eng(model, c.wl, c.acc, table, oopts);
+        const Schedule s = eng.scheduleWorkload();
+        const sched::BufferLanes lanes = eng.takeLanes();
+        EXPECT_TRUE(c.reached(s, lanes));
+
+        const std::vector<sched::BufferLanes::Lane> rebuilt = lanesOf(s);
+        ASSERT_EQ(lanes.numLanes(), rebuilt.size());
+        for (std::size_t a = 0; a < rebuilt.size(); ++a) {
+            const sched::BufferLanes::Lane &got = lanes.lane(a);
+            ASSERT_EQ(got.size(), rebuilt[a].size()) << "lane " << a;
+            for (std::size_t k = 0; k < got.size(); ++k) {
+                EXPECT_EQ(got[k].start, rebuilt[a][k].start);
+                EXPECT_EQ(got[k].end, rebuilt[a][k].end);
+                EXPECT_EQ(got[k].bytes, rebuilt[a][k].bytes);
+                EXPECT_EQ(got[k].entry, rebuilt[a][k].entry)
+                    << "lane " << a << " slot " << k;
+            }
+        }
+    }
+}
+
+TEST_F(OnlineTest, TakeLanesRejectsMisuse)
+{
+    const Workload wl = multirate().materialize("take-lanes");
+    const Accelerator acc = miniHda();
+    OnlineOptions retain;
+    retain.retainSchedule = true;
+    const sched::LayerCostTable table = sched::LayerCostTable::build(
+        model, wl, acc, retain.sched.metric, retain.sched.rdaOverheads,
+        1);
+
+    // A retiring engine has dropped slots from its lanes.
+    OnlineScheduler retiring(model, multirate().models(), acc,
+                             OnlineOptions{});
+    runOnline(retiring, multirate());
+    EXPECT_THROW(retiring.takeLanes(), std::runtime_error);
+    // Before the drain the lanes are still growing.
+    OnlineScheduler fresh(model, wl, acc, table, retain);
+    EXPECT_THROW(fresh.takeLanes(), std::runtime_error);
+    OnlineScheduler streaming(model, multirate().models(), acc, retain);
+    streaming.submit(0, 0.0);
+    EXPECT_THROW(streaming.takeLanes(), std::runtime_error);
+}
+
+// ---------------------------------------------------------------
 // Bounded memory: retire mode matches retain mode
 // ---------------------------------------------------------------
 
@@ -458,6 +618,74 @@ TEST_F(OnlineTest, RetiringHistoryPreservesEveryRollingCounter)
     EXPECT_LT(sb.liveEntries, sa.liveEntries);
     // schedule() is retain-mode only.
     EXPECT_THROW(b.schedule(), std::runtime_error);
+}
+
+TEST_F(OnlineTest, RetainModeRetirementFloorMatchesRetireMode)
+{
+    // The floor scan walks frames in arrival order from past the
+    // finished prefix and stops at the first arrival that cannot
+    // lower it. Retain mode never pops the window, so that cursor is
+    // the only thing keeping the scan short; it must find the floor
+    // retire mode finds at every point of the stream, and that floor
+    // must bound every later start. Two streams: a chaos stream, where faults,
+    // doomed drops and best-effort frames make frames finish out of
+    // id order, and multirate(), where frames in flight lag the
+    // watermark and hold the floor down.
+    ArrivalSource chaos;
+    chaos.addStream(convNet(), 8e4, 4e5, 0.0, 120);
+    chaos.addStream(fcNet(), 1.1e5, 3e5, 2e4, 90);
+    chaos.addStream(fcNet(), 1.3e5, 0.0, 5e4, 60); // best effort
+    OnlineOptions chaos_opts;
+    chaos_opts.sched.policy = Policy::Lst;
+    chaos_opts.sched.dropPolicy = DropPolicy::DoomedFrames;
+    chaos_opts.sched.preemption = Preemption::AtLayerBoundary;
+    chaos_opts.sched.faults = FaultTimeline::random(11, 2, 4e7);
+    chaos_opts.maintenancePeriod = 8;
+    OnlineOptions multirate_opts;
+    multirate_opts.sched.policy = Policy::Edf;
+    multirate_opts.maintenancePeriod = 1;
+
+    std::uint64_t dropped = 0;
+    const std::pair<ArrivalSource, OnlineOptions> runs[] = {
+        {chaos, chaos_opts}, {multirate(), multirate_opts}};
+    for (const auto &[source, retire] : runs) {
+        ArrivalSource src = source;
+        OnlineOptions retain = retire;
+        retain.retainSchedule = true;
+        OnlineScheduler a(model, src.models(), miniHda(), retain);
+        OnlineScheduler b(model, src.models(), miniHda(), retire);
+
+        // (committed layers, floor) after each submit.
+        std::vector<std::pair<std::size_t, double>> floors;
+        src.reset();
+        while (!src.exhausted()) {
+            const ArrivalSource::Frame f = src.next();
+            a.submit(f.streamIdx, f.arrivalCycle, f.deadlineCycle);
+            b.submit(f.streamIdx, f.arrivalCycle, f.deadlineCycle);
+            const OnlineStats st = a.stats();
+            ASSERT_EQ(st.retireFloorCycle, b.stats().retireFloorCycle);
+            floors.emplace_back(st.committedLayers,
+                                st.retireFloorCycle);
+        }
+        a.drain();
+        b.drain();
+        EXPECT_EQ(a.stats().retireFloorCycle,
+                  b.stats().retireFloorCycle);
+        dropped += a.stats().droppedFrames;
+
+        const std::vector<sched::ScheduledLayer> &entries =
+            a.schedule().entries();
+        std::size_t moves = 0;
+        for (std::size_t k = 0; k < floors.size(); ++k) {
+            const auto [committed, floor] = floors[k];
+            moves += k > 0 && floor != floors[k - 1].second;
+            for (std::size_t i = committed; i < entries.size(); ++i)
+                ASSERT_GE(entries[i].startCycle, floor)
+                    << "entry " << i;
+        }
+        EXPECT_GT(moves, 2u);
+    }
+    EXPECT_GT(dropped, 0u);
 }
 
 TEST_F(OnlineTest, RetirementAccountsForEveryCommittedLayer)

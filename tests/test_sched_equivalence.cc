@@ -104,11 +104,13 @@ bufferDeferrals(const Schedule &s, const Workload &wl)
 /**
  * Whether the buffer lanes of @p s prove that its largest staging
  * footprint cannot overflow the buffer, so that a lane query for it
- * skips the occupancy scan. The lanes are built as
- * postProcessIdleTime builds them, one start-sorted lane per
- * sub-accelerator. On a dispatch-only schedule they also equal the
- * dispatch engine's final lanes less its retired prefixes, which
- * neither the per-lane maxima nor the overlap flag forget.
+ * skips the occupancy scan. The lanes are rebuilt from the schedule,
+ * one start-sorted lane per sub-accelerator. On a dispatch-only
+ * schedule they equal the lanes the dispatch engine hands to
+ * postProcessIdleTime (OnlineScheduler::takeLanes(); retain mode
+ * retires no slot), and the serving engine's lanes less their retired
+ * prefixes, which neither the per-lane maxima nor the overlap flag
+ * forget.
  */
 bool
 largestFootprintCannotBind(const Schedule &s, const Accelerator &acc)
