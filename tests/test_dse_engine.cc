@@ -6,18 +6,24 @@
  * return a valid frontier containing the argmin, and the
  * cross-candidate CostColumnCache must leave every result
  * bit-identical to a cold build and refuse a second workload's
- * layers or a second cost model's coefficients.
+ * layers or a second cost model's coefficients, and a sweep over a
+ * repartitioning-policy axis must equal its replay through the
+ * public calls in (candidate, reconfig) order.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "accel/accelerator.hh"
 #include "dnn/model_zoo.hh"
 #include "dse/herald_dse.hh"
+#include "sched/herald_scheduler.hh"
 #include "sched/layer_cost_table.hh"
 #include "util/logging.hh"
 #include "util/math_utils.hh"
@@ -426,6 +432,220 @@ TEST_F(DseEngineTest, ColumnCacheBindsToCostModel)
                                  rda, 1, &cache);
     EXPECT_EQ(cache.stats().hits, before.hits + 2);
     EXPECT_EQ(cache.stats().misses, before.misses);
+}
+
+// ---------------------------------------------------------------
+// Repartitioning-policy axis (HeraldOptions::reconfigCandidates)
+// ---------------------------------------------------------------
+
+const std::vector<DataflowStyle> kAxisStyles{DataflowStyle::NVDLA,
+                                             DataflowStyle::ShiDiannao};
+
+/**
+ * A frozen and an elastic entry on the shifting-load factory, where
+ * migration changes the answer (the elastic split wins the sweep).
+ */
+dse::HeraldOptions
+reconfigAxisOptions(dse::SearchStrategy strategy, std::size_t threads)
+{
+    const accel::AcceleratorClass chip = accel::edgeClass();
+    dse::HeraldOptions opts;
+    opts.objective = dse::Objective::SlaViolations;
+    opts.scheduler.policy = sched::Policy::Edf;
+    opts.partition.peGranularity = chip.numPes / 8;
+    opts.partition.bwGranularity = chip.bwGBps / 8;
+    opts.partition.strategy = strategy;
+    opts.partition.seed = 5;
+    opts.partition.annealing.chains = 3;
+    opts.partition.annealing.iterations = 8;
+    sched::ReconfigOptions elastic;
+    elastic.policy = sched::Reconfig::BacklogSkew;
+    elastic.skewThresholdCycles = 3e7;
+    elastic.migrationQuantumPes = 128;
+    elastic.drainCycles = 5e4;
+    elastic.perPeRewireCycles = 100.0;
+    elastic.cooldownCycles = 1e6;
+    opts.reconfigCandidates = {sched::ReconfigOptions{}, elastic};
+    opts.numThreads = threads;
+    return opts;
+}
+
+/** The SlaViolations objective, recomputed from the summary. */
+double
+slaObjective(const sched::ScheduleSummary &summary)
+{
+    const double lat = summary.latencySec;
+    return static_cast<double>(summary.sla.deadlineMisses) +
+           lat / (1.0 + lat);
+}
+
+/** Index of the first strict minimum of slaObjective. */
+std::size_t
+firstArgmin(const std::vector<dse::DsePoint> &points)
+{
+    std::size_t idx = 0;
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const double v = slaObjective(points[i].summary);
+        if (v < best) {
+            best = v;
+            idx = i;
+        }
+    }
+    return idx;
+}
+
+/**
+ * Schedule every accelerator once per reconfig entry through the
+ * public calls, in (accelerator, reconfig) order, on a cold model.
+ */
+std::vector<dse::DsePoint>
+replayAxis(const workload::Workload &wl, const dse::HeraldOptions &opts,
+           const std::vector<accel::Accelerator> &accs)
+{
+    cost::CostModel model;
+    std::vector<dse::DsePoint> out;
+    for (const accel::Accelerator &acc : accs) {
+        for (const sched::ReconfigOptions &r : opts.reconfigCandidates) {
+            sched::SchedulerOptions so = opts.scheduler;
+            so.reconfig = r;
+            const sched::Schedule s =
+                sched::HeraldScheduler(model, so).schedule(wl, acc);
+            out.push_back({acc,
+                           s.finalize(wl, acc, model.energyModel(),
+                                      opts.chargeIdleEnergy),
+                           r});
+        }
+    }
+    return out;
+}
+
+std::vector<accel::Accelerator>
+hdas(const std::vector<dse::PartitionCandidate> &cands)
+{
+    std::vector<accel::Accelerator> out;
+    for (const dse::PartitionCandidate &c : cands) {
+        out.push_back(accel::Accelerator::makeHda(
+            accel::edgeClass(), kAxisStyles, c.peSplit, c.bwSplit));
+    }
+    return out;
+}
+
+void
+expectSamePoints(const std::vector<dse::DsePoint> &got,
+                 const std::vector<dse::DsePoint> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const sched::ScheduleSummary &g = got[i].summary;
+        const sched::ScheduleSummary &w = want[i].summary;
+        EXPECT_EQ(got[i].accelerator.name(), want[i].accelerator.name())
+            << i;
+        EXPECT_EQ(got[i].reconfig.policy, want[i].reconfig.policy) << i;
+        EXPECT_EQ(g.makespanCycles, w.makespanCycles) << i;
+        EXPECT_EQ(g.latencySec, w.latencySec) << i;
+        EXPECT_EQ(g.energyMj, w.energyMj) << i;
+        EXPECT_EQ(g.sla.deadlineMisses, w.sla.deadlineMisses) << i;
+    }
+}
+
+TEST(ReconfigAxisTest, ExhaustiveSweepsCandidateThenReconfigOrder)
+{
+    util::setVerbose(false);
+    const workload::Workload wl = workload::shiftingLoadFactory(8);
+    const accel::AcceleratorClass chip = accel::edgeClass();
+    for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        const dse::HeraldOptions opts = reconfigAxisOptions(
+            dse::SearchStrategy::Exhaustive, threads);
+        cost::CostModel model;
+        const dse::DseResult result =
+            dse::Herald(model, opts).explore(wl, chip, kAxisStyles);
+        const std::vector<dse::DsePoint> want = replayAxis(
+            wl, opts,
+            hdas(dse::generateCandidates(chip.numPes, chip.bwGBps,
+                                         kAxisStyles.size(),
+                                         opts.partition)));
+        expectSamePoints(result.points, want);
+        EXPECT_EQ(result.bestIdx, firstArgmin(want)) << threads;
+        // The axis is live: the elastic entry wins the sweep.
+        EXPECT_EQ(result.best().reconfig.policy,
+                  sched::Reconfig::BacklogSkew);
+    }
+}
+
+TEST(ReconfigAxisTest, BinaryRefinesAroundTheBestCandidateOverBothEntries)
+{
+    util::setVerbose(false);
+    const workload::Workload wl = workload::shiftingLoadFactory(8);
+    const accel::AcceleratorClass chip = accel::edgeClass();
+    for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        const dse::HeraldOptions opts =
+            reconfigAxisOptions(dse::SearchStrategy::Binary, threads);
+        cost::CostModel model;
+        const dse::DseResult result =
+            dse::Herald(model, opts).explore(wl, chip, kAxisStyles);
+
+        // Coarse round, then the refinement centre: the candidate
+        // holding the first argmin slot, i.e. the first candidate
+        // whose value minimized over the axis is the smallest.
+        const std::vector<dse::PartitionCandidate> coarse =
+            dse::generateCandidates(chip.numPes, chip.bwGBps,
+                                    kAxisStyles.size(), opts.partition);
+        std::vector<dse::DsePoint> want =
+            replayAxis(wl, opts, hdas(coarse));
+        const std::size_t n_recfg = opts.reconfigCandidates.size();
+        const dse::PartitionCandidate &centre =
+            coarse[firstArgmin(want) / n_recfg];
+
+        // Refinement skips every split the coarse round scored.
+        std::set<std::string> scored;
+        for (const dse::DsePoint &p : want)
+            scored.insert(p.accelerator.name());
+        std::vector<dse::PartitionCandidate> fresh;
+        for (const dse::PartitionCandidate &c :
+             dse::refineAround(centre, chip.numPes, chip.bwGBps,
+                               opts.partition)) {
+            if (scored.count(hdas({c}).front().name()) == 0)
+                fresh.push_back(c);
+        }
+        ASSERT_FALSE(fresh.empty());
+        for (dse::DsePoint &p : replayAxis(wl, opts, hdas(fresh)))
+            want.push_back(std::move(p));
+
+        expectSamePoints(result.points, want);
+        EXPECT_EQ(result.bestIdx, firstArgmin(want)) << threads;
+    }
+}
+
+TEST(ReconfigAxisTest, AnnealingPairsEveryVisitedCandidateWithEachEntry)
+{
+    util::setVerbose(false);
+    const workload::Workload wl = workload::shiftingLoadFactory(8);
+    const accel::AcceleratorClass chip = accel::edgeClass();
+    for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        const dse::HeraldOptions opts = reconfigAxisOptions(
+            dse::SearchStrategy::Annealing, threads);
+        cost::CostModel model;
+        const dse::DseResult result =
+            dse::Herald(model, opts).explore(wl, chip, kAxisStyles);
+
+        // The walk is not reproducible from the public calls, but
+        // every visited split is: points come in (split, reconfig)
+        // pairs, each split once, each point its replay.
+        const std::size_t n_recfg = opts.reconfigCandidates.size();
+        ASSERT_EQ(result.points.size() % n_recfg, 0u);
+        std::vector<accel::Accelerator> visited;
+        std::set<std::string> names;
+        for (std::size_t i = 0; i < result.points.size(); i += n_recfg) {
+            visited.push_back(result.points[i].accelerator);
+            EXPECT_TRUE(names.insert(visited.back().name()).second)
+                << visited.back().name();
+        }
+        const std::vector<dse::DsePoint> want =
+            replayAxis(wl, opts, visited);
+        expectSamePoints(result.points, want);
+        EXPECT_EQ(result.bestIdx, firstArgmin(want)) << threads;
+    }
 }
 
 } // namespace
