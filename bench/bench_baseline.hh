@@ -386,27 +386,18 @@ class BaselineChecker
     checkCountNotAbove(const std::string &current_key,
                        const std::string &baseline_key)
     {
-        if (!baseline.hasNumber(baseline_key)) {
-            std::fprintf(stderr,
-                         "bench gate: note: baseline lacks \"%s\" "
-                         "(skipped; refresh baselines)\n",
-                         baseline_key.c_str());
-            return;
-        }
-        if (!current.hasNumber(current_key)) {
-            failure(current_key, "metric missing from current run");
-            return;
-        }
-        const double base = baseline.number(baseline_key);
-        const double cur = current.number(current_key);
-        ++performed;
-        if (cur > base) {
-            std::fprintf(stderr,
-                         "bench gate: FAIL %s: %.0f > baseline "
-                         "%.0f\n",
-                         current_key.c_str(), cur, base);
-            ++failures;
-        }
+        checkCount(current_key, baseline_key, false);
+    }
+
+    /**
+     * Gate a deterministic counter that must not move either way (a
+     * pinned-seed search's evaluation count): any difference from
+     * the baseline fails, tolerance-free.
+     */
+    void
+    checkCountEqual(const std::string &key)
+    {
+        checkCount(key, key, true);
     }
 
     void
@@ -450,6 +441,34 @@ class BaselineChecker
     }
 
   private:
+    void
+    checkCount(const std::string &current_key,
+               const std::string &baseline_key, bool exact)
+    {
+        if (!baseline.hasNumber(baseline_key)) {
+            std::fprintf(stderr,
+                         "bench gate: note: baseline lacks \"%s\" "
+                         "(skipped; refresh baselines)\n",
+                         baseline_key.c_str());
+            return;
+        }
+        if (!current.hasNumber(current_key)) {
+            failure(current_key, "metric missing from current run");
+            return;
+        }
+        const double base = baseline.number(baseline_key);
+        const double cur = current.number(current_key);
+        ++performed;
+        if (cur > base || (exact && cur != base)) {
+            std::fprintf(stderr,
+                         "bench gate: FAIL %s: %.0f %s baseline "
+                         "%.0f\n",
+                         current_key.c_str(), cur,
+                         cur > base ? ">" : "<", base);
+            ++failures;
+        }
+    }
+
     const FlatJson &current;
     const FlatJson &baseline;
     double tolerance;

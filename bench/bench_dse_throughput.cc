@@ -1,41 +1,38 @@
 /**
  * @file
  * DSE search-engine benchmark: how fast each engine configuration
- * resolves a 3-way HDA partition space (where cost-table columns
+ * works through a 3-way HDA partition space (where cost-table columns
  * actually recur across candidates), on the edge chip with the AR/VR
  * workload:
  *
- *   exhaustive_nocache  the pre-engine brute force: full grid,
- *                       shareCostColumns off (every candidate pays
- *                       its whole LayerCostTable prefill);
- *   exhaustive          full grid through the cross-candidate
- *                       CostColumnCache;
- *   annealing           the metaheuristic under the same cache, with
- *                       an evaluation budget a fraction of the grid.
+ *   exhaustive  the full grid, every candidate scheduled once through
+ *               the sweep's shared CostColumnCache;
+ *   annealing   the metaheuristic under the same cache, with an
+ *               evaluation budget a fraction of the grid.
  *
- * The headline metric is coverage_per_sec: candidate-space size
- * divided by wall time — how many grid candidates per second the
- * engine effectively resolves while reaching its best point. For the
- * exhaustive legs that is exactly evaluated-candidates/sec; for
- * annealing it credits the search with the space it covers without
- * visiting (the point of a metaheuristic), which is only honest
- * together with the quality gate below.
+ * The rate metric is candidates_per_sec: points actually evaluated
+ * divided by wall time. A search is credited only with the candidates
+ * it schedules, never with the space it skips; what skipping buys is
+ * reported as evaluations_to_optimum (the annealing best point's
+ * 1-based position in evaluation order) next to the quality gap.
  *
  * The engine claims, asserted in-binary (exit 1 on violation) and
  * gated in CI against bench/baselines/ci-small-dse.json:
- *   - annealing resolves the space >= 10x faster than the brute-force
- *     configuration (coverage_per_sec ratio);
- *   - its best point is equal-or-better (scalarized Pareto objective,
- *     misses then EDP) than the exhaustive optimum on the same grid;
+ *   - the annealing best point is equal-or-better (scalarized Pareto
+ *     objective, misses then EDP) than the exhaustive optimum on the
+ *     same grid;
  *   - a rerun with a different thread count is bit-identical (best
  *     point, point count, frontier).
+ * The gate also holds exhaustive.candidates_per_sec within the
+ * tolerance and annealing.evaluations_to_optimum exactly.
  *
  * The gated legs run serially (numThreads = 1) so the metric isolates
  * per-candidate engine work from pool scaling; the parallel exhaustive
  * leg is reported for the perf trajectory but not gated. A fresh
  * CostModel per leg keeps every leg cold-start honest. The annealing
- * seed is pinned: the run is bit-reproducible, so the quality gate is
- * exact, not statistical. Flags: docs/BENCHMARKS.md.
+ * seed is pinned: the run is bit-reproducible, so the quality and
+ * evaluation-count gates are exact, not statistical. Flags:
+ * docs/BENCHMARKS.md.
  */
 
 #include <algorithm>
@@ -76,12 +73,12 @@ struct SweepResult
     dse::DseResult result;
 };
 
-/** Space candidates resolved per second of wall time. */
+/** Points evaluated per second of wall time. */
 double
-coveragePerSec(std::size_t space, const SweepResult &leg)
+candidatesPerSec(const SweepResult &leg)
 {
     return leg.seconds > 0.0
-               ? static_cast<double>(space) / leg.seconds
+               ? static_cast<double>(leg.candidates) / leg.seconds
                : 0.0;
 }
 
@@ -166,16 +163,13 @@ void
 gate(benchgate::BaselineChecker &chk, const benchgate::FlatJson &,
      const benchgate::FlatJson &)
 {
-    // The engine's coverage rate and its structural speedup over the
-    // brute-force configuration must not regress. The speedup is a
-    // machine-relative ratio (both legs timed on the same host), so
-    // it is far more stable across runners than raw wall-clock.
-    chk.checkThroughput("annealing.coverage_per_sec");
-    chk.checkThroughput("annealing.speedup_vs_nocache");
-    chk.checkThroughput("exhaustive.speedup_vs_nocache");
-    // Deterministic counters: the annealing best point may never be
-    // worse than the exhaustive optimum, and the determinism rerun
-    // may never diverge. Both are exact, tolerance-free gates.
+    // The exhaustive evaluation rate must not regress beyond the
+    // tolerance. The rest is deterministic under the pinned seed and
+    // gated exactly: annealing reaches its best point after the same
+    // number of evaluations, that point is never worse than the
+    // exhaustive optimum, and the determinism rerun never diverges.
+    chk.checkThroughput("exhaustive.candidates_per_sec");
+    chk.checkCountEqual("annealing.evaluations_to_optimum");
     chk.checkCountNotAbove("annealing.quality_gap",
                            "annealing.quality_gap");
     chk.checkThroughput("determinism_ok");
@@ -205,30 +199,16 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
                 wl.name().c_str(), chip.name.c_str(), kStyles.size(),
                 small ? "small" : "full");
 
-    // Brute force: full grid, no column sharing (the pre-engine cost
-    // profile). Serial, like every gated leg.
-    dse::HeraldOptions nocache_opts = opts;
-    nocache_opts.shareCostColumns = false;
-    SweepResult nocache = runSweep(wl, chip, nocache_opts, 1);
-    std::size_t space = nocache.candidates;
-    std::printf("exhaustive/nocache: %zu candidates in %.3f s "
-                "(%.0f cand/s, best %.6g)\n",
-                nocache.candidates, nocache.seconds,
-                coveragePerSec(space, nocache),
-                nocache.bestObjective);
-
-    // Same grid through the cross-candidate column cache.
+    // The full grid through the cross-candidate column cache.
+    // Serial, like every gated leg.
     SweepResult exhaustive = runSweep(wl, chip, opts, 1);
-    double ex_speedup = coveragePerSec(space, exhaustive) /
-                        coveragePerSec(space, nocache);
-    std::printf("exhaustive/cached:  %zu candidates in %.3f s "
-                "(%.0f cand/s, %.2fx, best %.6g)\n",
+    std::printf("exhaustive: %zu candidates in %.3f s "
+                "(%.0f cand/s, best %.6g)\n",
                 exhaustive.candidates, exhaustive.seconds,
-                coveragePerSec(space, exhaustive), ex_speedup,
-                exhaustive.bestObjective);
+                candidatesPerSec(exhaustive), exhaustive.bestObjective);
 
     // The metaheuristic: same cache, an evaluation budget a fraction
-    // of the grid, a seed pinned to keep the quality gate exact.
+    // of the grid, a seed pinned to keep the exact gates exact.
     dse::HeraldOptions ann_opts = opts;
     ann_opts.partition.strategy = dse::SearchStrategy::Annealing;
     ann_opts.partition.annealing.chains = 8;
@@ -236,15 +216,14 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
     ann_opts.partition.annealing.maxEvaluations = small ? 80 : 384;
     ann_opts.partition.seed = small ? 14 : 5;
     SweepResult annealing = runSweep(wl, chip, ann_opts, 1);
-    double ann_speedup = coveragePerSec(space, annealing) /
-                         coveragePerSec(space, nocache);
+    const std::size_t to_optimum = annealing.result.bestIdx + 1;
     double quality_gap =
         annealing.bestObjective - exhaustive.bestObjective;
-    std::printf("annealing:          %zu evals in %.3f s "
-                "(%.0f cand/s, %.2fx, best %.6g, frontier %zu)\n",
+    std::printf("annealing:  %zu evals in %.3f s (%.0f cand/s, best "
+                "%.6g after %zu evals, frontier %zu)\n",
                 annealing.candidates, annealing.seconds,
-                coveragePerSec(space, annealing), ann_speedup,
-                annealing.bestObjective, annealing.frontierSize);
+                candidatesPerSec(annealing), annealing.bestObjective,
+                to_optimum, annealing.frontierSize);
 
     // Determinism rerun: same options, different thread count, must
     // be bit-identical (checked on the full DseResult).
@@ -255,10 +234,10 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
 
     // Parallel exhaustive leg: trajectory only, not gated.
     SweepResult parallel = runSweep(wl, chip, opts, threads);
-    std::printf("parallel/cached:    %zu candidates in %.3f s "
+    std::printf("parallel:   %zu candidates in %.3f s "
                 "(%.0f cand/s, %zu threads)\n",
                 parallel.candidates, parallel.seconds,
-                coveragePerSec(space, parallel), threads);
+                candidatesPerSec(parallel), threads);
 
     double us_per_layer = schedulerMicrosPerLayer(wl, chip);
     std::printf("scheduler: %.2f us/layer (%zu layers, warm "
@@ -268,13 +247,6 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
     // The engine's contract, self-asserted so a bare bench run (no
     // baseline at hand) still fails loudly on a broken claim.
     bool ok = true;
-    if (ann_speedup < 10.0) {
-        std::fprintf(stderr,
-                     "FAIL: annealing resolves the space %.2fx "
-                     "faster than brute force (claim: >= 10x)\n",
-                     ann_speedup);
-        ok = false;
-    }
     if (quality_gap > 0.0) {
         std::fprintf(stderr,
                      "FAIL: annealing best %.9g worse than "
@@ -298,44 +270,35 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
         "  \"chip\": \"%s\",\n"
         "  \"grid\": \"%s\",\n"
         "  \"threads\": %zu,\n"
-        "  \"space_candidates\": %zu,\n"
-        "  \"exhaustive_nocache\": {\n"
-        "    \"candidates\": %zu,\n"
-        "    \"seconds\": %.6f,\n"
-        "    \"coverage_per_sec\": %.3f,\n"
-        "    \"best_objective\": %.9g\n"
-        "  },\n"
         "  \"exhaustive\": {\n"
         "    \"candidates\": %zu,\n"
         "    \"seconds\": %.6f,\n"
-        "    \"coverage_per_sec\": %.3f,\n"
-        "    \"best_objective\": %.9g,\n"
-        "    \"speedup_vs_nocache\": %.3f\n"
+        "    \"candidates_per_sec\": %.3f,\n"
+        "    \"best_objective\": %.9g\n"
         "  },\n"
         "  \"annealing\": {\n"
         "    \"candidates\": %zu,\n"
         "    \"seconds\": %.6f,\n"
-        "    \"coverage_per_sec\": %.3f,\n"
+        "    \"candidates_per_sec\": %.3f,\n"
         "    \"best_objective\": %.9g,\n"
+        "    \"evaluations_to_optimum\": %zu,\n"
         "    \"frontier_size\": %zu,\n"
-        "    \"speedup_vs_nocache\": %.3f,\n"
         "    \"quality_gap\": %.9g\n"
         "  },\n"
-        "  \"parallel_coverage_per_sec\": %.3f,\n"
+        "  \"parallel_candidates_per_sec\": %.3f,\n"
         "  \"determinism_ok\": %d,\n"
         "  \"scheduler_us_per_layer\": %.3f,\n"
         "  \"total_layers\": %zu\n"
         "}\n",
         wl.name().c_str(), chip.name.c_str(),
-        small ? "small" : "full", threads, space, nocache.candidates,
-        nocache.seconds, coveragePerSec(space, nocache),
-        nocache.bestObjective, exhaustive.candidates,
-        exhaustive.seconds, coveragePerSec(space, exhaustive),
-        exhaustive.bestObjective, ex_speedup, annealing.candidates,
-        annealing.seconds, coveragePerSec(space, annealing),
-        annealing.bestObjective, annealing.frontierSize, ann_speedup,
-        quality_gap, coveragePerSec(space, parallel),
-        deterministic ? 1 : 0, us_per_layer, wl.totalLayers());
+        small ? "small" : "full", threads, exhaustive.candidates,
+        exhaustive.seconds,
+        candidatesPerSec(exhaustive), exhaustive.bestObjective,
+        annealing.candidates, annealing.seconds,
+        candidatesPerSec(annealing), annealing.bestObjective,
+        to_optimum, annealing.frontierSize, quality_gap,
+        candidatesPerSec(parallel), deterministic ? 1 : 0,
+        us_per_layer, wl.totalLayers());
     return ok;
 }
 

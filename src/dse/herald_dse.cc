@@ -1,11 +1,11 @@
 #include "dse/herald_dse.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -44,6 +44,24 @@ candidateKey(const PartitionCandidate &cand)
             std::llround(bw * static_cast<double>(1 << 20)));
     }
     return key;
+}
+
+/**
+ * Index of the first strict minimum of @p values, or @p none when no
+ * value is below +infinity.
+ */
+std::size_t
+firstArgmin(const std::vector<double> &values, std::size_t none)
+{
+    std::size_t idx = none;
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        if (values[i] < best) {
+            best = values[i];
+            idx = i;
+        }
+    }
+    return idx;
 }
 
 } // namespace
@@ -179,7 +197,7 @@ Herald::explore(const workload::Workload &wl,
         pool.emplace(n_threads - 1);
 
     // The repartitioning-policy axis: every partition candidate is
-    // scheduled once per entry, and the serial reduction below picks
+    // scheduled once per entry, and the reduction at the end picks
     // across the full partition x reconfig cross product. An empty
     // axis degenerates to one evaluation per partition with the
     // configured scheduler.reconfig — exactly today's sweep.
@@ -190,52 +208,54 @@ Herald::explore(const workload::Workload &wl,
             : opts.reconfigCandidates;
     const std::size_t n_recfg = recfgs.size();
 
-    // The sweep-wide column cache (tentpole of the DSE engine):
-    // candidates that hand a sub-accelerator a (style, resources)
-    // tuple an earlier candidate already evaluated reuse the whole
-    // LayerCostTable column. Pure-function values, so results are
-    // bit-identical with the cache off.
+    // One column cache for the whole sweep: candidates that hand a
+    // sub-accelerator a (style, resources) tuple an earlier candidate
+    // already evaluated reuse the whole LayerCostTable column. Columns
+    // are pure functions of their key, so results are bit-identical
+    // to cold builds.
     sched::CostColumnCache column_cache;
-    sched::CostColumnCache *cache =
-        opts.shareCostColumns ? &column_cache : nullptr;
 
     DseResult result;
-    double best = std::numeric_limits<double>::infinity();
 
-    // Evaluate one batch of candidates. Workers fill one slot per
-    // (candidate, reconfig) index; the best-point reduction below
-    // runs serially in that order, so points, their order and
-    // bestIdx match the serial sweep exactly (same "<"
-    // tie-breaking). @p values_out, when given, receives each
-    // candidate's objective value minimized over the reconfig axis
-    // (the per-candidate score the annealing chains climb on).
-    auto evaluate_candidates =
-        [&](const std::vector<PartitionCandidate> &candidates,
-            std::vector<double> *values_out =
-                nullptr) -> std::optional<PartitionCandidate> {
-        if (values_out) {
-            values_out->assign(
-                candidates.size(),
-                std::numeric_limits<double>::infinity());
+    // The one evaluation path every strategy drives. Each candidate
+    // is scheduled once per reconfig entry the first time any round
+    // asks for it; a repeat (an annealing revisit, a Binary
+    // refinement point the coarse grid scored) appends no point and
+    // reads its remembered value. Workers fill one slot per fresh
+    // (candidate, reconfig) index and the points are appended in that
+    // order, so they match the serial sweep exactly. Returns each
+    // candidate's objective value minimized over the reconfig axis.
+    std::map<CandidateKey, double> memo;
+    auto evaluate = [&](const std::vector<PartitionCandidate> &cands) {
+        std::vector<const double *> values;
+        std::vector<std::pair<const PartitionCandidate *, double *>>
+            fresh;
+        values.reserve(cands.size());
+        for (const PartitionCandidate &c : cands) {
+            auto [it, inserted] = memo.emplace(
+                candidateKey(c), std::numeric_limits<double>::infinity());
+            values.push_back(&it->second);
+            if (inserted)
+                fresh.emplace_back(&c, &it->second);
         }
-        std::vector<std::optional<DsePoint>> slots(
-            candidates.size() * n_recfg);
-        // When candidates fan out across the sweep pool, each
-        // one builds its LayerCostTable serially — nesting a
-        // prefill pool would only oversubscribe the machine. On
-        // the serial branch (no pool, or a single candidate,
-        // e.g. a degenerate Binary refinement batch) the prefill
-        // gets the full thread budget instead; either way the
-        // results are bit-identical.
+
+        std::vector<std::optional<DsePoint>> slots(fresh.size() *
+                                                   n_recfg);
+        // When candidates fan out across the sweep pool, each one
+        // builds its LayerCostTable serially — nesting a prefill pool
+        // would only oversubscribe the machine. On the serial branch
+        // (no pool, or a single slot, e.g. a degenerate Binary
+        // refinement batch) the prefill gets the full thread budget
+        // instead; either way the results are bit-identical.
         const bool sweep_parallel = pool && slots.size() > 1;
         const std::size_t prefill_threads =
             sweep_parallel ? 1 : n_threads;
         auto eval_one = [&](std::size_t i) {
-            const PartitionCandidate &cand = candidates[i / n_recfg];
+            const PartitionCandidate &cand = *fresh[i / n_recfg].first;
             accel::Accelerator acc = accel::Accelerator::makeHda(
                 chip, styles, cand.peSplit, cand.bwSplit);
             slots[i] = evaluateImpl(wl, acc, recfgs[i % n_recfg],
-                                    prefill_threads, cache);
+                                    prefill_threads, &column_cache);
         };
         if (sweep_parallel) {
             pool->parallelFor(0, slots.size(), eval_one);
@@ -244,22 +264,16 @@ Herald::explore(const workload::Workload &wl,
                 eval_one(i);
         }
 
-        std::optional<PartitionCandidate> best_cand;
         for (std::size_t i = 0; i < slots.size(); ++i) {
-            DsePoint &point = *slots[i];
-            double value = objectiveValue(point.summary);
-            if (values_out) {
-                double &slot = (*values_out)[i / n_recfg];
-                slot = std::min(slot, value);
-            }
-            if (value < best) {
-                best = value;
-                result.bestIdx = result.points.size();
-                best_cand = candidates[i / n_recfg];
-            }
-            result.points.push_back(std::move(point));
+            double &value = *fresh[i / n_recfg].second;
+            value = std::min(value, objectiveValue(slots[i]->summary));
+            result.points.push_back(std::move(*slots[i]));
         }
-        return best_cand;
+        std::vector<double> out;
+        out.reserve(values.size());
+        for (const double *v : values)
+            out.push_back(*v);
+        return out;
     };
 
     if (opts.partition.strategy == SearchStrategy::Annealing) {
@@ -277,34 +291,6 @@ Herald::explore(const workload::Workload &wl,
             util::fatal("Herald::explore: annealing needs >= 1 "
                         "chain");
 
-        // Candidate-level memo: revisiting a (peSplit, bwSplit)
-        // point is free and appends no new DsePoint, so "distinct
-        // evaluations" — the budget unit — equals memo.size().
-        std::map<CandidateKey, double> memo;
-        auto evaluate_memo =
-            [&](const std::vector<PartitionCandidate> &cands) {
-                std::vector<PartitionCandidate> fresh;
-                for (const PartitionCandidate &c : cands) {
-                    if (memo
-                            .emplace(candidateKey(c),
-                                     std::numeric_limits<
-                                         double>::quiet_NaN())
-                            .second) {
-                        fresh.push_back(c);
-                    }
-                }
-                std::vector<double> fresh_vals;
-                if (!fresh.empty())
-                    evaluate_candidates(fresh, &fresh_vals);
-                for (std::size_t i = 0; i < fresh.size(); ++i)
-                    memo[candidateKey(fresh[i])] = fresh_vals[i];
-                std::vector<double> out;
-                out.reserve(cands.size());
-                for (const PartitionCandidate &c : cands)
-                    out.push_back(memo.at(candidateKey(c)));
-                return out;
-            };
-
         util::SplitMix64 seeder(opts.partition.seed);
         std::vector<util::SplitMix64> rngs;
         rngs.reserve(ann.chains);
@@ -317,7 +303,7 @@ Herald::explore(const workload::Workload &wl,
                                      styles.size(), opts.partition,
                                      rngs[c]);
         }
-        std::vector<double> cur_val = evaluate_memo(cur);
+        std::vector<double> cur_val = evaluate(cur);
 
         for (std::size_t it = 0; it < ann.iterations; ++it) {
             if (ann.maxEvaluations != 0 &&
@@ -332,7 +318,7 @@ Herald::explore(const workload::Workload &wl,
                                             chip.bwGBps,
                                             opts.partition, rngs[c]);
             }
-            std::vector<double> prop_val = evaluate_memo(prop);
+            std::vector<double> prop_val = evaluate(prop);
             for (std::size_t c = 0; c < ann.chains; ++c) {
                 const double delta = prop_val[c] - cur_val[c];
                 bool accept = delta <= 0.0;
@@ -354,43 +340,39 @@ Herald::explore(const workload::Workload &wl,
             }
         }
     } else {
-        std::vector<PartitionCandidate> candidates =
+        const std::vector<PartitionCandidate> candidates =
             generateCandidates(chip.numPes, chip.bwGBps,
                                styles.size(), opts.partition);
-        std::optional<PartitionCandidate> best_cand =
-            evaluate_candidates(candidates);
+        const std::vector<double> values = evaluate(candidates);
 
-        if (opts.partition.strategy == SearchStrategy::Binary &&
-            best_cand) {
-            // Refine around the coarse optimum on the fine grid, but
-            // never re-evaluate a (peSplit, bwSplit) point the
-            // coarse round already scored — the refinement window
-            // overlaps the coarse grid (including its own center).
-            // Filtering keeps the surviving candidates in
-            // refineAround's order, so the sweep stays bit-identical
-            // across thread counts.
-            std::set<CandidateKey> seen;
-            for (const PartitionCandidate &c : candidates)
-                seen.insert(candidateKey(c));
-            std::vector<PartitionCandidate> refined = refineAround(
-                *best_cand, chip.numPes, chip.bwGBps,
-                opts.partition);
-            std::vector<PartitionCandidate> fresh;
-            fresh.reserve(refined.size());
-            for (PartitionCandidate &c : refined) {
-                if (seen.insert(candidateKey(c)).second)
-                    fresh.push_back(std::move(c));
+        if (opts.partition.strategy == SearchStrategy::Binary) {
+            // Refine around the coarse optimum (the first candidate
+            // with the smallest value) on the fine grid. The window
+            // overlaps the coarse grid, its own centre included; the
+            // memo skips those points and keeps the rest in
+            // refineAround's order.
+            const std::size_t centre =
+                firstArgmin(values, candidates.size());
+            if (centre < candidates.size()) {
+                evaluate(refineAround(candidates[centre], chip.numPes,
+                                      chip.bwGBps, opts.partition));
             }
-            evaluate_candidates(fresh);
         }
     }
 
     if (result.points.empty())
         util::fatal("Herald::explore: empty partition space");
 
+    // One reduction over every evaluated point, in point order.
+    std::vector<double> values;
+    values.reserve(result.points.size());
+    for (const DsePoint &point : result.points)
+        values.push_back(objectiveValue(point.summary));
+    result.bestIdx = firstArgmin(values, 0);
+
     // Frontier mode: extract the Pareto-optimal subset over every
-    // evaluated point. bestIdx already holds the scalarized argmin,
-    // which provably lies on this frontier (see objectiveValue).
+    // evaluated point. bestIdx is the scalarized argmin, which
+    // provably lies on this frontier (see objectiveValue).
     if (opts.objective == Objective::ParetoFrontier)
         result.frontier = util::paretoFrontIndices(result.designPoints());
     return result;

@@ -132,17 +132,6 @@ struct HeraldOptions
     /** Charge idle static energy at schedule level. */
     bool chargeIdleEnergy = true;
     /**
-     * Share LayerCostTable columns across the partition sweep
-     * through one sched::CostColumnCache: candidates that give a
-     * sub-accelerator a (style, resources) tuple some earlier
-     * candidate already evaluated reuse that whole column instead of
-     * re-paying the dominant prefill cost. Bit-identical results
-     * either way (columns are pure functions of their key); false
-     * restores the pre-cache brute-force cost profile, which
-     * bench_dse_throughput uses as its speedup baseline.
-     */
-    bool shareCostColumns = true;
-    /**
      * Worker threads for the partition sweep: 0 resolves via the
      * HERALD_THREADS environment variable, then the hardware
      * concurrency; 1 forces the serial path. Results are identical
@@ -169,11 +158,14 @@ class Herald
      * Full co-DSE (design-time use case): explore PE/BW partitionings
      * of an HDA with the given @p styles on the @p chip budget.
      *
-     * Candidates are evaluated across HeraldOptions::numThreads
-     * workers. Every candidate evaluation is an independent pure
-     * function, results are collected into a slot per candidate, and
-     * the best-point reduction runs serially in candidate order — so
-     * the returned points, their order, and bestIdx are identical for
+     * Every strategy drives one memoized evaluation: a candidate is
+     * scheduled once per reconfig entry the first time it is asked
+     * for, across HeraldOptions::numThreads workers, through one
+     * CostColumnCache shared by the whole sweep. Every evaluation is
+     * an independent pure function and its point lands in a slot per
+     * (candidate, reconfig) index, appended in that order; bestIdx
+     * is the first argmin of the objective over all points. So the
+     * returned points, their order, and bestIdx are identical for
      * every thread count (including the serial path).
      */
     DseResult explore(const workload::Workload &wl,
@@ -194,7 +186,7 @@ class Herald
      * partition sweep forces the serial prefill on its workers while
      * the public single-candidate entry point keeps the configured
      * fan-out. A non-null @p cache routes the prefill through the
-     * sweep's shared CostColumnCache (shareCostColumns).
+     * sweep's shared CostColumnCache.
      */
     DsePoint evaluateImpl(const workload::Workload &wl,
                           const accel::Accelerator &acc,

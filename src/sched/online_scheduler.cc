@@ -322,6 +322,15 @@ OnlineScheduler::minAvail() const
     return lo;
 }
 
+std::size_t
+OnlineScheduler::oldestLive()
+{
+    while (liveScan < totalFrames() &&
+           frameAt(idAt(liveScan)).finished)
+        ++liveScan;
+    return liveScan;
+}
+
 double
 OnlineScheduler::retirementFloor()
 {
@@ -341,12 +350,9 @@ OnlineScheduler::retirementFloor()
     // finished prefix for good; and a frame's readyTime is never
     // below its arrival, so it stops at the first arrival at or past
     // P, which no later frame can lower.
-    floorScan = std::max(floorScan, winFront);
-    while (floorScan < totalFrames() &&
-           frameAt(idAt(floorScan)).finished)
-        ++floorScan;
     double p = draining ? kNeverCycle : std::max(watermark, 0.0);
-    for (std::size_t rank = floorScan; rank < totalFrames(); ++rank) {
+    for (std::size_t rank = oldestLive(); rank < totalFrames();
+         ++rank) {
         const Frame &f = frameAt(idAt(rank));
         if (f.arrival >= p)
             break;
@@ -1104,10 +1110,10 @@ OnlineScheduler::submit(std::size_t model_idx, double arrival_cycle,
     if (!std::isfinite(arrival_cycle) || arrival_cycle < 0.0)
         util::fatal("online scheduler: arrival must be finite and "
                     ">= 0, got ", arrival_cycle);
-    if (arrival_cycle < lastArrival)
+    if (arrival_cycle < watermark)
         util::fatal("online scheduler: arrivals must be "
                     "nondecreasing, got ", arrival_cycle, " after ",
-                    lastArrival);
+                    watermark);
     if (!(arrival_cycle <= workload::kMaxCycle))
         util::fatal("online scheduler: arrival exceeds the ",
                     workload::kMaxCycle, "-cycle limit, got ",
@@ -1121,7 +1127,6 @@ OnlineScheduler::submit(std::size_t model_idx, double arrival_cycle,
         util::fatal("online scheduler: deadline must be "
                     "kNoDeadline or a finite cycle in [arrival, ",
                     workload::kMaxCycle, "], got ", deadline_cycle);
-    lastArrival = arrival_cycle;
 
     OnlineModelStats &ms = modelStats[model_idx];
     ++ms.submitted;
@@ -1145,11 +1150,9 @@ OnlineScheduler::submit(std::size_t model_idx, double arrival_cycle,
         return SubmitResult::RejectedQueueFull;
     }
     if (std::isfinite(opts.horizonCycles)) {
-        while (liveScan < totalFrames() &&
-               frameAt(liveScan).finished)
-            ++liveScan;
-        if (liveScan < totalFrames() &&
-            arrival_cycle - frameAt(liveScan).arrival >
+        const std::size_t oldest = oldestLive();
+        if (oldest < totalFrames() &&
+            arrival_cycle - frameAt(idAt(oldest)).arrival >
                 opts.horizonCycles) {
             ++ms.rejected;
             return SubmitResult::RejectedHorizon;

@@ -428,20 +428,20 @@ class OnlineScheduler
 
     // --- Stream state ---
     double watermark = -1.0; //!< latest admitted arrival
-    double lastArrival = 0.0;
     bool draining = false;
-    std::size_t liveScan = 0; //!< oldest-live probe (backpressure)
+    /**
+     * Arrival rank of the oldest frame that may still be unfinished:
+     * every frame before it is finished or popped, and a finished
+     * frame never becomes unfinished, so it only moves forward
+     * (oldestLive()). Read by the horizon backpressure check and by
+     * retirementFloor(); in retain mode winFront never moves, so
+     * without it each maintenance would rescan every admitted frame.
+     */
+    std::size_t liveScan = 0;
 
     // --- Maintenance / watchdog ---
     std::size_t commitsSinceMaintenance = 0;
     double retireFloor = 0.0;
-    /**
-     * Arrival rank retirementFloor() scans from: every frame before
-     * it has finished, and a finished frame never bounds the floor.
-     * In retain mode winFront never moves, so without this cursor
-     * each maintenance would rescan every admitted frame.
-     */
-    std::size_t floorScan = 0;
     std::vector<double> lastRetiredEnd; //!< per sub-accelerator
     std::uint64_t retiredEntries = 0;
 
@@ -489,6 +489,8 @@ class OnlineScheduler
     /** @p cycle projected through the fault timeline on @p a. */
     double availFrom(std::size_t a, double cycle) const;
     double minAvail() const;
+    /** Advance liveScan past finished frames and return it. */
+    std::size_t oldestLive();
     double retirementFloor();
     bool doomedNow(std::size_t idx, double now_floor) const;
     void refreshDegraded(double floor);

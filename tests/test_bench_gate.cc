@@ -388,6 +388,20 @@ TEST_F(BenchGateTest, CountGateIsToleranceFree)
     EXPECT_TRUE(eq.verdict("test"));
 }
 
+TEST_F(BenchGateTest, ExactCountGateFailsEitherWay)
+{
+    FlatJson base = parse(R"({"evals": 30})");
+    for (const char *text : {R"({"evals": 29})", R"({"evals": 31})"}) {
+        FlatJson cur = parse(text);
+        BaselineChecker chk(cur, base, 25.0);
+        chk.checkCountEqual("evals");
+        EXPECT_FALSE(chk.verdict("test")) << text;
+    }
+    BaselineChecker eq(base, base, 25.0);
+    eq.checkCountEqual("evals");
+    EXPECT_TRUE(eq.verdict("test"));
+}
+
 TEST_F(BenchGateTest, InertGateIsAFailure)
 {
     // A baseline whose keys all went missing must fail the gate,

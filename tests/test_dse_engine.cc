@@ -101,6 +101,97 @@ class DseEngineTest : public ::testing::Test
 };
 
 // ---------------------------------------------------------------
+// Replay through the public calls
+// ---------------------------------------------------------------
+
+/**
+ * Schedule every accelerator once per reconfig entry of @p opts
+ * (scheduler.reconfig when the axis is empty), in (accelerator,
+ * reconfig) order, through HeraldScheduler::schedule — which builds
+ * each LayerCostTable cold, without a column cache — and finalize.
+ */
+std::vector<dse::DsePoint>
+replay(const workload::Workload &wl, const dse::HeraldOptions &opts,
+       const std::vector<accel::Accelerator> &accs)
+{
+    const std::vector<sched::ReconfigOptions> recfgs =
+        opts.reconfigCandidates.empty()
+            ? std::vector<sched::ReconfigOptions>{opts.scheduler
+                                                      .reconfig}
+            : opts.reconfigCandidates;
+    cost::CostModel model;
+    std::vector<dse::DsePoint> out;
+    for (const accel::Accelerator &acc : accs) {
+        for (const sched::ReconfigOptions &r : recfgs) {
+            sched::SchedulerOptions so = opts.scheduler;
+            so.reconfig = r;
+            const sched::Schedule s =
+                sched::HeraldScheduler(model, so).schedule(wl, acc);
+            out.push_back({acc,
+                           s.finalize(wl, acc, model.energyModel(),
+                                      opts.chargeIdleEnergy),
+                           r});
+        }
+    }
+    return out;
+}
+
+/** The edge-chip HDA of each candidate split. */
+std::vector<accel::Accelerator>
+hdas(const std::vector<DataflowStyle> &styles,
+     const std::vector<dse::PartitionCandidate> &cands)
+{
+    std::vector<accel::Accelerator> out;
+    for (const dse::PartitionCandidate &c : cands) {
+        out.push_back(accel::Accelerator::makeHda(
+            accel::edgeClass(), styles, c.peSplit, c.bwSplit));
+    }
+    return out;
+}
+
+/** Index of the first strict minimum of @p objective over @p points. */
+std::size_t
+firstArgmin(const std::vector<dse::DsePoint> &points,
+            double (*objective)(const sched::ScheduleSummary &))
+{
+    std::size_t idx = 0;
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const double v = objective(points[i].summary);
+        if (v < best) {
+            best = v;
+            idx = i;
+        }
+    }
+    return idx;
+}
+
+double
+edpObjective(const sched::ScheduleSummary &summary)
+{
+    return summary.edp();
+}
+
+/** Bit-identical points, in the same order. */
+void
+expectSamePoints(const std::vector<dse::DsePoint> &got,
+                 const std::vector<dse::DsePoint> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const sched::ScheduleSummary &g = got[i].summary;
+        const sched::ScheduleSummary &w = want[i].summary;
+        EXPECT_EQ(got[i].accelerator.name(), want[i].accelerator.name())
+            << i;
+        EXPECT_EQ(got[i].reconfig.policy, want[i].reconfig.policy) << i;
+        EXPECT_EQ(g.makespanCycles, w.makespanCycles) << i;
+        EXPECT_EQ(g.latencySec, w.latencySec) << i;
+        EXPECT_EQ(g.energyMj, w.energyMj) << i;
+        EXPECT_EQ(g.sla.deadlineMisses, w.sla.deadlineMisses) << i;
+    }
+}
+
+// ---------------------------------------------------------------
 // Annealing determinism
 // ---------------------------------------------------------------
 
@@ -268,27 +359,30 @@ TEST_F(DseEngineTest, ExhaustiveParetoFrontierContainsArgmin)
 TEST_F(DseEngineTest, CachedSweepBitIdenticalToCold)
 {
     // A 3-way HDA grid is where columns actually recur across
-    // candidates (two axes per composition share values); the cached
-    // sweep must still be indistinguishable from the cold one.
-    auto run = [&](bool share, std::size_t threads) {
+    // candidates (two axes per composition share values); the sweep
+    // reads them from its shared cache, yet at any thread count it
+    // must equal a cold replay that builds every table afresh.
+    const std::vector<DataflowStyle> styles{DataflowStyle::NVDLA,
+                                            DataflowStyle::ShiDiannao,
+                                            DataflowStyle::Eyeriss};
+    const accel::AcceleratorClass chip = accel::edgeClass();
+    const workload::Workload wl = miniWorkload();
+    dse::HeraldOptions opts;
+    opts.partition.peGranularity = 256;
+    opts.partition.bwGranularity = 4.0;
+    dse::DseResult cold;
+    cold.points = replay(
+        wl, opts,
+        hdas(styles, dse::generateCandidates(chip.numPes, chip.bwGBps,
+                                             styles.size(),
+                                             opts.partition)));
+    cold.bestIdx = firstArgmin(cold.points, edpObjective);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         cost::CostModel model;
-        dse::HeraldOptions opts;
-        opts.partition.peGranularity = 256;
-        opts.partition.bwGranularity = 4.0;
-        opts.shareCostColumns = share;
         opts.numThreads = threads;
-        dse::Herald herald(model, opts);
-        workload::Workload wl = miniWorkload();
-        return herald.explore(wl, accel::edgeClass(),
-                              {DataflowStyle::NVDLA,
-                               DataflowStyle::ShiDiannao,
-                               DataflowStyle::Eyeriss});
-    };
-    dse::DseResult cold = run(false, 1);
-    dse::DseResult cached = run(true, 1);
-    dse::DseResult cached_parallel = run(true, 4);
-    expectIdentical(cold, cached);
-    expectIdentical(cold, cached_parallel);
+        expectIdentical(cold,
+                        dse::Herald(model, opts).explore(wl, chip, styles));
+    }
 }
 
 TEST_F(DseEngineTest, ColumnCacheBuildsBitIdenticalTables)
@@ -443,7 +537,8 @@ const std::vector<DataflowStyle> kAxisStyles{DataflowStyle::NVDLA,
 
 /**
  * A frozen and an elastic entry on the shifting-load factory, where
- * migration changes the answer (the elastic split wins the sweep).
+ * migration changes the answer: the elastic split wins the sweep, and
+ * Binary's coarse optimum over both entries is not the frozen one's.
  */
 dse::HeraldOptions
 reconfigAxisOptions(dse::SearchStrategy strategy, std::size_t threads)
@@ -460,7 +555,7 @@ reconfigAxisOptions(dse::SearchStrategy strategy, std::size_t threads)
     opts.partition.annealing.iterations = 8;
     sched::ReconfigOptions elastic;
     elastic.policy = sched::Reconfig::BacklogSkew;
-    elastic.skewThresholdCycles = 3e7;
+    elastic.skewThresholdCycles = 1e7;
     elastic.migrationQuantumPes = 128;
     elastic.drainCycles = 5e4;
     elastic.perPeRewireCycles = 100.0;
@@ -479,76 +574,6 @@ slaObjective(const sched::ScheduleSummary &summary)
            lat / (1.0 + lat);
 }
 
-/** Index of the first strict minimum of slaObjective. */
-std::size_t
-firstArgmin(const std::vector<dse::DsePoint> &points)
-{
-    std::size_t idx = 0;
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const double v = slaObjective(points[i].summary);
-        if (v < best) {
-            best = v;
-            idx = i;
-        }
-    }
-    return idx;
-}
-
-/**
- * Schedule every accelerator once per reconfig entry through the
- * public calls, in (accelerator, reconfig) order, on a cold model.
- */
-std::vector<dse::DsePoint>
-replayAxis(const workload::Workload &wl, const dse::HeraldOptions &opts,
-           const std::vector<accel::Accelerator> &accs)
-{
-    cost::CostModel model;
-    std::vector<dse::DsePoint> out;
-    for (const accel::Accelerator &acc : accs) {
-        for (const sched::ReconfigOptions &r : opts.reconfigCandidates) {
-            sched::SchedulerOptions so = opts.scheduler;
-            so.reconfig = r;
-            const sched::Schedule s =
-                sched::HeraldScheduler(model, so).schedule(wl, acc);
-            out.push_back({acc,
-                           s.finalize(wl, acc, model.energyModel(),
-                                      opts.chargeIdleEnergy),
-                           r});
-        }
-    }
-    return out;
-}
-
-std::vector<accel::Accelerator>
-hdas(const std::vector<dse::PartitionCandidate> &cands)
-{
-    std::vector<accel::Accelerator> out;
-    for (const dse::PartitionCandidate &c : cands) {
-        out.push_back(accel::Accelerator::makeHda(
-            accel::edgeClass(), kAxisStyles, c.peSplit, c.bwSplit));
-    }
-    return out;
-}
-
-void
-expectSamePoints(const std::vector<dse::DsePoint> &got,
-                 const std::vector<dse::DsePoint> &want)
-{
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        const sched::ScheduleSummary &g = got[i].summary;
-        const sched::ScheduleSummary &w = want[i].summary;
-        EXPECT_EQ(got[i].accelerator.name(), want[i].accelerator.name())
-            << i;
-        EXPECT_EQ(got[i].reconfig.policy, want[i].reconfig.policy) << i;
-        EXPECT_EQ(g.makespanCycles, w.makespanCycles) << i;
-        EXPECT_EQ(g.latencySec, w.latencySec) << i;
-        EXPECT_EQ(g.energyMj, w.energyMj) << i;
-        EXPECT_EQ(g.sla.deadlineMisses, w.sla.deadlineMisses) << i;
-    }
-}
-
 TEST(ReconfigAxisTest, ExhaustiveSweepsCandidateThenReconfigOrder)
 {
     util::setVerbose(false);
@@ -560,13 +585,14 @@ TEST(ReconfigAxisTest, ExhaustiveSweepsCandidateThenReconfigOrder)
         cost::CostModel model;
         const dse::DseResult result =
             dse::Herald(model, opts).explore(wl, chip, kAxisStyles);
-        const std::vector<dse::DsePoint> want = replayAxis(
+        const std::vector<dse::DsePoint> want = replay(
             wl, opts,
-            hdas(dse::generateCandidates(chip.numPes, chip.bwGBps,
+            hdas(kAxisStyles,
+                 dse::generateCandidates(chip.numPes, chip.bwGBps,
                                          kAxisStyles.size(),
                                          opts.partition)));
         expectSamePoints(result.points, want);
-        EXPECT_EQ(result.bestIdx, firstArgmin(want)) << threads;
+        EXPECT_EQ(result.bestIdx, firstArgmin(want, slaObjective)) << threads;
         // The axis is live: the elastic entry wins the sweep.
         EXPECT_EQ(result.best().reconfig.policy,
                   sched::Reconfig::BacklogSkew);
@@ -592,10 +618,15 @@ TEST(ReconfigAxisTest, BinaryRefinesAroundTheBestCandidateOverBothEntries)
             dse::generateCandidates(chip.numPes, chip.bwGBps,
                                     kAxisStyles.size(), opts.partition);
         std::vector<dse::DsePoint> want =
-            replayAxis(wl, opts, hdas(coarse));
+            replay(wl, opts, hdas(kAxisStyles, coarse));
         const std::size_t n_recfg = opts.reconfigCandidates.size();
-        const dse::PartitionCandidate &centre =
-            coarse[firstArgmin(want) / n_recfg];
+        const std::size_t centre_idx =
+            firstArgmin(want, slaObjective) / n_recfg;
+        const dse::PartitionCandidate &centre = coarse[centre_idx];
+        std::vector<dse::DsePoint> frozen;
+        for (std::size_t i = 0; i < want.size(); i += n_recfg)
+            frozen.push_back(want[i]);
+        EXPECT_NE(firstArgmin(frozen, slaObjective), centre_idx);
 
         // Refinement skips every split the coarse round scored.
         std::set<std::string> scored;
@@ -605,15 +636,18 @@ TEST(ReconfigAxisTest, BinaryRefinesAroundTheBestCandidateOverBothEntries)
         for (const dse::PartitionCandidate &c :
              dse::refineAround(centre, chip.numPes, chip.bwGBps,
                                opts.partition)) {
-            if (scored.count(hdas({c}).front().name()) == 0)
+            const std::string name =
+                hdas(kAxisStyles, {c}).front().name();
+            if (scored.count(name) == 0)
                 fresh.push_back(c);
         }
         ASSERT_FALSE(fresh.empty());
-        for (dse::DsePoint &p : replayAxis(wl, opts, hdas(fresh)))
+        for (dse::DsePoint &p :
+             replay(wl, opts, hdas(kAxisStyles, fresh)))
             want.push_back(std::move(p));
 
         expectSamePoints(result.points, want);
-        EXPECT_EQ(result.bestIdx, firstArgmin(want)) << threads;
+        EXPECT_EQ(result.bestIdx, firstArgmin(want, slaObjective)) << threads;
     }
 }
 
@@ -642,9 +676,9 @@ TEST(ReconfigAxisTest, AnnealingPairsEveryVisitedCandidateWithEachEntry)
                 << visited.back().name();
         }
         const std::vector<dse::DsePoint> want =
-            replayAxis(wl, opts, visited);
+            replay(wl, opts, visited);
         expectSamePoints(result.points, want);
-        EXPECT_EQ(result.bestIdx, firstArgmin(want)) << threads;
+        EXPECT_EQ(result.bestIdx, firstArgmin(want, slaObjective)) << threads;
     }
 }
 
