@@ -265,18 +265,36 @@ OnlineScheduler::readyRekey(std::size_t idx)
     const double key = keyOf(idx);
     if (key == f.currentKey)
         return;
-    ready.erase(std::make_pair(f.currentKey, idx));
-    ready.emplace(key, idx);
+    // Move the frame's own node: no free + allocate per re-key.
+    auto node = ready.extract(std::make_pair(f.currentKey, idx));
+    node.value().first = key;
+    ready.insert(std::move(node));
     f.currentKey = key;
+}
+
+double
+OnlineScheduler::doomKeyOf(const Frame &f) const
+{
+    return f.deadline - remCyclesRun(f.uid, f.nextLayer);
 }
 
 void
 OnlineScheduler::doomTrack(std::size_t idx)
 {
     Frame &f = frameAt(idx);
-    f.doomKey = f.deadline - remCyclesRun(f.uid, f.nextLayer);
+    f.doomKey = doomKeyOf(f);
     doomSet.emplace(f.doomKey, idx);
     f.inDoom = true;
+}
+
+void
+OnlineScheduler::doomRekey(std::size_t idx)
+{
+    Frame &f = frameAt(idx);
+    auto node = doomSet.extract(std::make_pair(f.doomKey, idx));
+    f.doomKey = doomKeyOf(f);
+    node.value().first = f.doomKey;
+    doomSet.insert(std::move(node));
 }
 
 void
@@ -404,14 +422,20 @@ OnlineScheduler::refreshDegraded(double floor)
 }
 
 // Recompute every doom-set member's key against the current run-time
-// remaining-work bounds (after the run view or active table changed).
+// remaining-work bounds (after the run view or active table changed),
+// moving each member's node from the old set into the new one.
 void
 OnlineScheduler::rekeyDoomSet()
 {
     std::set<std::pair<double, std::size_t>> old;
     old.swap(doomSet);
-    for (const auto &entry : old)
-        doomTrack(entry.second);
+    while (!old.empty()) {
+        auto node = old.extract(old.begin());
+        Frame &f = frameAt(node.value().second);
+        f.doomKey = doomKeyOf(f);
+        node.value().first = f.doomKey;
+        doomSet.insert(std::move(node));
+    }
 }
 
 void
@@ -825,8 +849,7 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
             if (doomedNow(inst, minAvail())) {
                 dropLive(inst);
             } else if (!killed) {
-                doomUntrack(inst);
-                doomTrack(inst);
+                doomRekey(inst);
             }
         }
     } else {

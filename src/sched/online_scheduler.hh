@@ -479,8 +479,12 @@ class OnlineScheduler
     void readyRelease(std::size_t idx);
     void readyRetire(std::size_t idx);
     void readyRekey(std::size_t idx);
+    /** Deadline - run-time remaining work: @p f's doom-set key. */
+    double doomKeyOf(const Frame &f) const;
     /** Key @p idx by deadline - remaining work into the doom set. */
     void doomTrack(std::size_t idx);
+    /** Re-key tracked @p idx in place, moving its existing node. */
+    void doomRekey(std::size_t idx);
     /** Remove @p idx from the doom set (no-op if not tracked). */
     void doomUntrack(std::size_t idx);
 

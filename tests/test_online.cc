@@ -305,6 +305,48 @@ TEST_F(OnlineTest, MatchesOfflineAcrossPrefillThreadCounts)
     }
 }
 
+TEST_F(OnlineTest, PermanentFailureOnsetReKeysTheDoomSet)
+{
+    // NVDLA (sub-acc 0) dies at 1.3e6, killing FcNet frame 4's first
+    // layer; its re-run holds the surviving ShiDiannao until 2.36e6,
+    // which is when the availability floor passes the onset and the
+    // failure is folded into the doom set's keys. FcNet frame 5
+    // (arrival 1.55e6, deadline 3.55e6) is waiting in the doom set
+    // then: FcNet needs 0.34e6 cycles with NVDLA but 1.33e6 on
+    // ShiDiannao alone, so the re-key makes it hopeless and the sweep
+    // sheds it before it runs. Keyed on the two-sub-accelerator bound
+    // it would look feasible, spend 1.06e6 survivor cycles on its
+    // first layer and only then be dropped.
+    ArrivalSource src;
+    src.addStream(convNet(), 8e5, 2.4e6, 0.0, 4);
+    src.addStream(fcNet(), 5e5, 2e6, 5e4, 5);
+    const Workload wl = src.materialize("onset");
+    constexpr std::size_t kHopeless = 5;
+    ASSERT_EQ(wl.instances()[kHopeless].arrivalCycle, 1.55e6);
+
+    FaultTimeline tl(2);
+    tl.addPermanentFailure(0, 1.3e6);
+    for (auto policy : {Policy::Edf, Policy::Lst}) {
+        SCOPED_TRACE(sched::toString(policy));
+        SchedulerOptions sopts;
+        sopts.policy = policy;
+        sopts.dropPolicy = DropPolicy::DoomedFrames;
+        sopts.postProcess = false;
+        sopts.faults = tl;
+        const Schedule s =
+            HeraldScheduler(model, sopts).schedule(wl, miniHda());
+
+        std::size_t killed = 0;
+        for (const sched::ScheduledLayer &e : s.entries()) {
+            EXPECT_NE(e.instanceIdx, kHopeless);
+            killed += e.faultKilled ? 1 : 0;
+        }
+        EXPECT_EQ(killed, 1u);
+        EXPECT_TRUE(s.isDropped(kHopeless));
+        expectMatchesOffline(src, sopts);
+    }
+}
+
 TEST_F(OnlineTest, MidStreamStatsQueriesDoNotPerturbTheSchedule)
 {
     const ArrivalSource src = overloaded();
