@@ -18,7 +18,9 @@
  * the incremental idle-time-elimination path: a small AR/VR stream
  * mix and the factory mix (workload::faultedFactory, 256 frames at
  * --small, 1024 otherwise), whose hundreds of gap-fill moves expose
- * a quadratic scan.
+ * a quadratic scan. An ungated `lst_burst` leg reports ns per layer
+ * of a 3,000-frame LST batch that arrives at once, where thousands of
+ * ready frames tie on one key.
  */
 
 #include <algorithm>
@@ -30,6 +32,7 @@
 
 #include "bench_baseline.hh"
 #include "bench_common.hh"
+#include "dnn/model_zoo.hh"
 #include "sched/layer_cost_table.hh"
 #include "sched/reference_scheduler.hh"
 #include "util/thread_pool.hh"
@@ -244,6 +247,20 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
                       /*run_reference=*/false);
     printTiming("LST+preempt", t_lst_pre);
 
+    // Large-N ordered sets (ungated): a batch LST burst of 2,000
+    // MobileNetV2 and 1,000 HandposeNet frames, all arriving at cycle
+    // 0 with one deadline per model, so thousands of ready frames
+    // share each slack key. Full size at --small too: the leg exists
+    // to show the ready and doom sets at thousands of ties.
+    workload::Workload wl_burst("lst-burst");
+    wl_burst.addModel(dnn::mobileNetV2(), 2000, 0.0,
+                      3.0 * workload::fpsPeriodCycles(60.0));
+    wl_burst.addModel(dnn::brqHandposeNet(), 1000, 0.0,
+                      2.0 * workload::fpsPeriodCycles(30.0));
+    Timing t_burst = timeScheduler(model, wl_burst, acc, lst, reps,
+                                   /*run_reference=*/false);
+    printTiming("LST burst", t_burst);
+
     // Incremental post-processing trajectory on a smaller stream mix
     // (postProcess cost is move-dominated, not dispatch-dominated).
     workload::Workload wl_pp =
@@ -384,6 +401,12 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
     emitTiming(json, "lst_preempt", t_lst_pre, ",");
     emitTiming(json, "edf_postprocess", t_pp, ",");
     emitTiming(json, "edf_postprocess_factory", t_pp_factory, ",");
+    std::fprintf(json,
+                 "  \"lst_burst\": {\"layers\": %zu, "
+                 "\"sched_seconds\": %.6f, \"ns_per_layer\": %.1f},\n",
+                 t_burst.layers, t_burst.schedSeconds,
+                 1e9 * t_burst.schedSeconds /
+                     static_cast<double>(t_burst.layers));
     auto ratio = [](const Timing &num, const Timing &den) {
         return den.layersPerSec() > 0.0
                    ? num.layersPerSec() / den.layersPerSec()

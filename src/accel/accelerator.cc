@@ -173,21 +173,6 @@ Accelerator::resources(std::size_t idx) const
     return res;
 }
 
-std::uint64_t
-movedPes(const PartitionEpoch &from, const PartitionEpoch &to)
-{
-    if (from.peSplit.size() != to.peSplit.size())
-        util::fatal("movedPes: epoch arity mismatch (",
-                    from.peSplit.size(), " vs ", to.peSplit.size(),
-                    ")");
-    std::uint64_t moved = 0;
-    for (std::size_t i = 0; i < from.peSplit.size(); ++i) {
-        if (to.peSplit[i] > from.peSplit[i])
-            moved += to.peSplit[i] - from.peSplit[i];
-    }
-    return moved;
-}
-
 double
 reconfigPenaltyCycles(std::uint64_t moved_pes, double drain_cycles,
                       double per_pe_rewire_cycles)

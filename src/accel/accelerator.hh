@@ -65,13 +65,6 @@ struct PartitionEpoch
 };
 
 /**
- * PEs that change owner between two epochs: the sum of positive
- * per-sub-accelerator deltas (fatal on arity mismatch).
- */
-std::uint64_t movedPes(const PartitionEpoch &from,
-                       const PartitionEpoch &to);
-
-/**
  * Modeled cost of swapping in a new epoch: a fixed pipeline-drain
  * term plus a rewire term proportional to the PEs that change owner.
  */

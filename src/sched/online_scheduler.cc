@@ -241,7 +241,7 @@ OnlineScheduler::readyRelease(std::size_t idx)
 {
     Frame &f = frameAt(idx);
     const double key = keyOf(idx);
-    ready.emplace(key, idx);
+    ready.insert({key, idx});
     f.currentKey = key;
     f.member = true;
 }
@@ -252,7 +252,7 @@ OnlineScheduler::readyRetire(std::size_t idx)
     Frame &f = frameAt(idx);
     if (!f.member)
         return;
-    ready.erase(std::make_pair(f.currentKey, idx));
+    ready.erase({f.currentKey, idx});
     f.member = false;
 }
 
@@ -265,10 +265,7 @@ OnlineScheduler::readyRekey(std::size_t idx)
     const double key = keyOf(idx);
     if (key == f.currentKey)
         return;
-    // Move the frame's own node: no free + allocate per re-key.
-    auto node = ready.extract(std::make_pair(f.currentKey, idx));
-    node.value().first = key;
-    ready.insert(std::move(node));
+    ready.rekey({f.currentKey, idx}, key);
     f.currentKey = key;
 }
 
@@ -283,7 +280,7 @@ OnlineScheduler::doomTrack(std::size_t idx)
 {
     Frame &f = frameAt(idx);
     f.doomKey = doomKeyOf(f);
-    doomSet.emplace(f.doomKey, idx);
+    doomSet.insert({f.doomKey, idx});
     f.inDoom = true;
 }
 
@@ -291,10 +288,9 @@ void
 OnlineScheduler::doomRekey(std::size_t idx)
 {
     Frame &f = frameAt(idx);
-    auto node = doomSet.extract(std::make_pair(f.doomKey, idx));
+    const double old_key = f.doomKey;
     f.doomKey = doomKeyOf(f);
-    node.value().first = f.doomKey;
-    doomSet.insert(std::move(node));
+    doomSet.rekey({old_key, idx}, f.doomKey);
 }
 
 void
@@ -303,7 +299,7 @@ OnlineScheduler::doomUntrack(std::size_t idx)
     Frame &f = frameAt(idx);
     if (!f.inDoom)
         return;
-    doomSet.erase(std::make_pair(f.doomKey, idx));
+    doomSet.erase({f.doomKey, idx});
     f.inDoom = false;
 }
 
@@ -422,20 +418,15 @@ OnlineScheduler::refreshDegraded(double floor)
 }
 
 // Recompute every doom-set member's key against the current run-time
-// remaining-work bounds (after the run view or active table changed),
-// moving each member's node from the old set into the new one.
+// remaining-work bounds (after the run view or active table changed).
 void
 OnlineScheduler::rekeyDoomSet()
 {
-    std::set<std::pair<double, std::size_t>> old;
-    old.swap(doomSet);
-    while (!old.empty()) {
-        auto node = old.extract(old.begin());
-        Frame &f = frameAt(node.value().second);
+    doomSet.rekeyAll([&](std::size_t idx) {
+        Frame &f = frameAt(idx);
         f.doomKey = doomKeyOf(f);
-        node.value().first = f.doomKey;
-        doomSet.insert(std::move(node));
-    }
+        return f.doomKey;
+    });
 }
 
 void
@@ -542,14 +533,13 @@ OnlineScheduler::releaseUpTo(double bound, bool inclusive)
     }
 }
 
-// Placement on one sub-accelerator: the earliest start at or after
-// `earliest` that is memory-feasible and, under faults, outside every
-// known outage and before the sub-accelerator's permanent failure.
-// The throttle factor is sampled at the start and held for the whole
-// layer (layers are atomic). Without faults the first memory fit is
-// the placement. Termination: each round either returns or strictly
-// advances `s` to a memory event boundary past an availability point
-// — both finite sets.
+// Placement on one sub-accelerator under faults: the earliest start
+// at or after `earliest` that is memory-feasible, outside every known
+// outage and before the sub-accelerator's permanent failure. The
+// throttle factor is sampled at the start and held for the whole
+// layer (layers are atomic). Termination: each round either returns
+// or strictly advances `s` to a memory event boundary past an
+// availability point — both finite sets.
 bool
 OnlineScheduler::placeOn(std::size_t a, double earliest,
                          double base_cycles, double penalty,
@@ -558,21 +548,67 @@ OnlineScheduler::placeOn(std::size_t a, double earliest,
     const FaultTimeline &faults = opts.sched.faults;
     double s = earliest;
     for (;;) {
-        const double avail = availFrom(a, s);
+        const double avail = faults.nextAvailable(a, s);
         if (!std::isfinite(avail))
             return false; // dead from here on
-        const double throttle =
-            faulty ? faults.throttleFactorAt(a, avail) : 1.0;
-        const double dur = base_cycles * throttle + penalty;
+        const double dur =
+            base_cycles * faults.throttleFactorAt(a, avail) + penalty;
         const double fit = memory.firstFeasible(avail, dur, bytes);
-        if (!faulty || fit == avail) {
+        if (fit == avail) {
             out.start = fit;
             out.dur = dur;
-            out.killAt = faulty ? faults.nextOnset(a, fit) : kNeverCycle;
+            out.killAt = faults.nextOnset(a, fit);
             return true;
         }
         s = fit;
     }
+}
+
+// Load-balancing feedback: walk the metric order from the preferred
+// @p chosen and demote to the first candidate within the metric
+// degradation bound whose frontier keeps the sub-accelerators
+// balanced. Only candidates @p usable admits compete.
+template <class Usable>
+std::size_t
+OnlineScheduler::loadBalanced(std::size_t row, double ready_time,
+                              std::size_t chosen, Usable usable) const
+{
+    if (!opts.sched.loadBalance || nAcc < 2)
+        return chosen;
+    const std::size_t *order = activeTable->order(row);
+    const double best_metric = activeTable->metric(row, chosen);
+    for (std::size_t k = 0; k < nAcc; ++k) {
+        const std::size_t a = order[k];
+        if (!usable(a))
+            continue;
+        if (activeTable->metric(row, a) >
+            best_metric * opts.sched.loadBalanceMaxDegradation)
+            break; // remaining candidates are worse still
+        const double start = std::max(ready_time, accAvail[a]);
+        const double frontier =
+            start + activeTable->cost(row, a).cost.cycles;
+        double max_f = frontier;
+        double min_f = frontier;
+        for (std::size_t b = 0; b < nAcc; ++b) {
+            if (b == a)
+                continue;
+            max_f = std::max(max_f, accAvail[b]);
+            min_f = std::min(min_f, accAvail[b]);
+        }
+        if (min_f > 0.0 && max_f <= opts.sched.loadBalanceFactor * min_f)
+            return a;
+    }
+    return chosen;
+}
+
+double
+OnlineScheduler::contextPenalty(std::size_t a, std::size_t inst) const
+{
+    return opts.sched.contextChangeCycles > 0.0 &&
+                   accLastInstance[a] != SIZE_MAX &&
+                   accLastInstance[a] != inst
+               ? opts.sched.contextChangeCycles
+               : 0.0;
 }
 
 OnlineScheduler::Plan
@@ -582,10 +618,25 @@ OnlineScheduler::planLayer(std::size_t inst) const
     const std::size_t row = frame.rowBase + frame.nextLayer;
     const std::size_t *order = activeTable->order(row);
 
-    // Dataflow preference: the best-metric sub-accelerator. Under
-    // faults only sub-accelerators with a finite availability point
-    // from this frame's earliest start compete; the preference order
-    // is otherwise unchanged.
+    // Without faults every candidate is usable and the first memory
+    // fit of the load-balanced choice is the placement.
+    if (!faulty) {
+        Plan plan;
+        plan.acc = loadBalanced(row, frame.readyTime, order[0],
+                                [](std::size_t) { return true; });
+        const accel::StyledLayerCost &sc = activeTable->cost(row, plan.acc);
+        plan.contextPenalty = contextPenalty(plan.acc, inst);
+        plan.dur = sc.cost.cycles + plan.contextPenalty;
+        plan.start = memory.firstFeasible(
+            std::max(frame.readyTime, accAvail[plan.acc]), plan.dur,
+            static_cast<double>(sc.cost.l2FootprintBytes));
+        return plan;
+    }
+
+    // Dataflow preference: the best-metric sub-accelerator. Only
+    // sub-accelerators with a finite availability point from this
+    // frame's earliest start compete; the preference order is
+    // otherwise unchanged.
     auto usable = [&](std::size_t a) {
         return std::isfinite(
             availFrom(a, std::max(frame.readyTime, accAvail[a])));
@@ -602,55 +653,18 @@ OnlineScheduler::planLayer(std::size_t inst) const
         plan.feasible = false;
         return plan;
     }
+    chosen = loadBalanced(row, frame.readyTime, chosen, usable);
 
-    // Load-balancing feedback: demote overloading choices.
-    if (opts.sched.loadBalance && nAcc > 1) {
-        const double best_metric = activeTable->metric(row, chosen);
-        for (std::size_t k = 0; k < nAcc; ++k) {
-            std::size_t a = order[k];
-            if (!usable(a))
-                continue;
-            if (activeTable->metric(row, a) >
-                best_metric * opts.sched.loadBalanceMaxDegradation)
-                break; // remaining candidates are worse still
-            double start = std::max(frame.readyTime, accAvail[a]);
-            double frontier =
-                start + activeTable->cost(row, a).cost.cycles;
-            double max_f = frontier;
-            double min_f = frontier;
-            for (std::size_t b = 0; b < nAcc; ++b) {
-                if (b == a)
-                    continue;
-                max_f = std::max(max_f, accAvail[b]);
-                min_f = std::min(min_f, accAvail[b]);
-            }
-            if (min_f > 0.0 &&
-                max_f <= opts.sched.loadBalanceFactor * min_f) {
-                chosen = a;
-                break;
-            }
-        }
-    }
-
-    auto context_penalty = [&](std::size_t a) {
-        return opts.sched.contextChangeCycles > 0.0 &&
-                       accLastInstance[a] != SIZE_MAX &&
-                       accLastInstance[a] != inst
-                   ? opts.sched.contextChangeCycles
-                   : 0.0;
-    };
-
-    // Dependence + memory (+ fault) constrained start time. When
+    // Dependence + memory + fault constrained start time. When
     // placement on the chosen candidate pushes past its permanent
     // failure, demote through the remaining usable candidates; when
     // every candidate fails, the frame can never progress
-    // (plan.feasible = false). Without faults the chosen candidate
-    // always places.
+    // (plan.feasible = false).
     auto try_acc = [&](std::size_t a) {
         const accel::StyledLayerCost &sc = activeTable->cost(row, a);
         Plan p;
         p.acc = a;
-        p.contextPenalty = context_penalty(a);
+        p.contextPenalty = contextPenalty(a, inst);
         if (!placeOn(a, std::max(frame.readyTime, accAvail[a]),
                      sc.cost.cycles, p.contextPenalty,
                      static_cast<double>(sc.cost.l2FootprintBytes), p))
@@ -676,18 +690,18 @@ OnlineScheduler::selectReadyIdx() const
 {
     if (ready.empty())
         return SIZE_MAX;
-    auto first = ready.begin();
+    const ChunkedKeySet::Item &first = ready.front();
     if (hysteresis && isReadyMember(grant) &&
-        first->first >=
+        first.first >=
             frameAt(grant).currentKey - opts.sched.lstHysteresisCycles)
         return grant;
     if (breadth) {
-        auto it =
-            ready.lower_bound(std::make_pair(first->first, rotate));
-        if (it != ready.end() && it->first == first->first)
+        const ChunkedKeySet::Item *it =
+            ready.lowerBound({first.first, rotate});
+        if (it && it->first == first.first)
             return it->second;
     }
-    return first->second;
+    return first.second;
 }
 
 // Nothing-has-arrived fallback: dispatch the nearest future arrival
@@ -837,6 +851,9 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
     rotate = inst + 1;
     grant = inst;
 
+    // The availability floor of the doom tests; nothing below moves
+    // a sub-accelerator frontier.
+    const double floor = doomDrop ? minAvail() : kNeverCycle;
     if (pending(f)) {
         // Progress re-keys LST (slack relaxes as layers retire); a
         // kill makes no progress, so the key is unchanged.
@@ -846,7 +863,7 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
         // directly (the shared floor sweep below cannot see a ready
         // time that outruns the floor), else re-key its doom entry.
         if (f.inDoom) {
-            if (doomedNow(inst, minAvail())) {
+            if (doomedNow(inst, floor)) {
                 dropLive(inst);
             } else if (!killed) {
                 doomRekey(inst);
@@ -863,12 +880,11 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
     // live frame whose (deadline - remaining) key fell behind it can
     // no longer finish in time under any continuation.
     if (doomDrop) {
-        const double floor = minAvail();
         if (runView)
             refreshDegraded(floor);
         while (!doomSet.empty() &&
-               doomSet.begin()->first < floor - kEps) {
-            dropLive(doomSet.begin()->second);
+               doomSet.front().first < floor - kEps) {
+            dropLive(doomSet.front().second);
         }
     }
 

@@ -60,13 +60,13 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "cost/cost_model.hh"
 #include "dnn/model.hh"
 #include "sched/buffer_lanes.hh"
+#include "sched/chunked_key_set.hh"
 #include "sched/herald_scheduler.hh"
 #include "sched/layer_cost_table.hh"
 #include "sched/schedule.hh"
@@ -417,8 +417,8 @@ class OnlineScheduler
     Schedule sched;
     std::vector<double> accAvail;
     std::vector<std::size_t> accLastInstance; //!< frame id
-    std::set<std::pair<double, std::size_t>> ready;   //!< (key, id)
-    std::set<std::pair<double, std::size_t>> doomSet; //!< (key, id)
+    ChunkedKeySet ready;   //!< (key, id)
+    ChunkedKeySet doomSet; //!< (key, id)
     std::size_t cursor = 0; //!< arrival rank of first unreleased frame
     std::size_t rotate = 0; //!< breadth-first cursor (never wrapped)
     std::size_t grant = SIZE_MAX;   //!< hysteresis grant holder
@@ -483,7 +483,7 @@ class OnlineScheduler
     double doomKeyOf(const Frame &f) const;
     /** Key @p idx by deadline - remaining work into the doom set. */
     void doomTrack(std::size_t idx);
-    /** Re-key tracked @p idx in place, moving its existing node. */
+    /** Re-key tracked @p idx in place. */
     void doomRekey(std::size_t idx);
     /** Remove @p idx from the doom set (no-op if not tracked). */
     void doomUntrack(std::size_t idx);
@@ -502,8 +502,13 @@ class OnlineScheduler
     void dropLive(std::size_t idx);
     void releaseInst(std::size_t idx);
     void releaseUpTo(double bound, bool inclusive = true);
+    /** Faulted placement on @p a (see planLayer). */
     bool placeOn(std::size_t a, double earliest, double base_cycles,
                  double penalty, double bytes, Plan &out) const;
+    template <class Usable>
+    std::size_t loadBalanced(std::size_t row, double ready_time,
+                             std::size_t chosen, Usable usable) const;
+    double contextPenalty(std::size_t a, std::size_t inst) const;
     Plan planLayer(std::size_t inst) const;
     std::size_t selectReadyIdx() const;
     std::size_t selectFutureIdx(bool &stall) const;
