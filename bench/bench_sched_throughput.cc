@@ -21,7 +21,15 @@
  * a quadratic scan. An ungated `lst_burst` leg reports ns per layer
  * of a 3,000-frame LST batch that arrives at once, where thousands of
  * ready frames tie on one key.
+ *
+ * Both post-processing legs report the pass's deterministic work
+ * counters (sweeps, pull moves, gap-fill moves), which the gate
+ * checks exactly, and minor page faults per compile (getrusage,
+ * ungated): a compile's rate is bimodal, and the faults tell the
+ * slow mode apart (docs/BENCHMARKS.md).
  */
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -55,6 +63,8 @@ struct Timing
     double schedSeconds = 0.0;    //!< table path, per schedule
     double refSeconds = 0.0;      //!< reference path (0 if skipped)
     std::size_t layers = 0;
+    sched::PostProcessStats postProcess; //!< of the timed schedule
+    double minorFaults = 0.0;     //!< per timed schedule
 
     double
     layersPerSec() const
@@ -81,6 +91,16 @@ struct Timing
     }
 };
 
+/** Minor page faults of this process so far. */
+double
+minorFaults()
+{
+    struct rusage ru;
+    if (getrusage(RUSAGE_SELF, &ru) != 0)
+        util::fatal("bench_sched_throughput: getrusage failed");
+    return static_cast<double>(ru.ru_minflt);
+}
+
 /** Time the table path (median-free: best of @p reps) vs reference. */
 Timing
 timeScheduler(cost::CostModel &model, const workload::Workload &wl,
@@ -92,8 +112,10 @@ timeScheduler(cost::CostModel &model, const workload::Workload &wl,
     Timing t;
     t.layers = wl.totalLayers();
 
-    scheduler.schedule(wl, acc); // warm the cost cache
+    t.postProcess =
+        scheduler.schedule(wl, acc).postProcessStats(); // warm the cache
     double best = 0.0;
+    const double faults_before = minorFaults();
     for (int r = 0; r < reps; ++r) {
         Clock::time_point start = Clock::now();
         scheduler.schedule(wl, acc);
@@ -101,6 +123,7 @@ timeScheduler(cost::CostModel &model, const workload::Workload &wl,
         if (r == 0 || s < best)
             best = s;
     }
+    t.minorFaults = (minorFaults() - faults_before) / reps;
     t.schedSeconds = best;
 
     if (run_reference) {
@@ -145,6 +168,12 @@ gate(benchgate::BaselineChecker &chk, const benchgate::FlatJson &cur,
           "edf_postprocess_factory"})
         chk.checkThroughput(std::string(key) + ".layers_per_sec");
 
+    // Post-processing work is a pure function of the schedule: any
+    // change in sweeps or moves is a behaviour change, not noise.
+    for (const char *leg : {"edf_postprocess", "edf_postprocess_factory"})
+        for (const char *counter : {"passes", "pull_moves", "gap_moves"})
+            chk.checkCountEqual(std::string(leg) + "." + counter);
+
     // Dimensionless policy-vs-FIFO ratios ride alongside the
     // absolute layers/sec gates: absolute throughput varies with
     // runner hardware (hence the generous tolerance), but the
@@ -172,10 +201,19 @@ emitTiming(std::FILE *json, const char *key, const Timing &t,
                  "\"layers_per_sec\": %.1f, "
                  "\"ref_seconds\": %.6f, "
                  "\"ref_layers_per_sec\": %.1f, "
-                 "\"speedup\": %.3f}%s\n",
+                 "\"speedup\": %.3f",
                  key, t.layers, t.schedSeconds, t.layersPerSec(),
-                 t.refSeconds, t.refLayersPerSec(), t.speedup(),
-                 trailer);
+                 t.refSeconds, t.refLayersPerSec(), t.speedup());
+    // Post-processing legs add the pass's work counters and the
+    // minor page faults per schedule.
+    if (t.postProcess.passes > 0)
+        std::fprintf(json,
+                     ", \"passes\": %zu, \"pull_moves\": %zu, "
+                     "\"gap_moves\": %zu, "
+                     "\"minor_faults_per_compile\": %.1f",
+                     t.postProcess.passes, t.postProcess.pullMoves,
+                     t.postProcess.gapMoves, t.minorFaults);
+    std::fprintf(json, "}%s\n", trailer);
 }
 
 bool
@@ -281,6 +319,12 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
     Timing t_pp_factory = timeScheduler(model, wl_factory, acc, pp,
                                         reps, /*run_reference=*/false);
     printTiming("EDF+pp factory", t_pp_factory);
+    std::printf("  post-processing: %zu passes, %zu pull + %zu gap-fill "
+                "moves; %.0f minor faults per compile\n",
+                t_pp_factory.postProcess.passes,
+                t_pp_factory.postProcess.pullMoves,
+                t_pp_factory.postProcess.gapMoves,
+                t_pp_factory.minorFaults);
 
     // End-to-end DSE: the same candidate grid through the table-path
     // explore vs a manual reference-scheduler sweep.

@@ -45,21 +45,15 @@ walkBack(const Lane &lane, Lane::const_iterator after, double x,
     }
 }
 
-/**
- * Panic unless @p next may follow @p prev on one lane; return whether
- * they overlap (@p prev ends after @p next starts).
- */
-bool
-checkOrder(const Slot &prev, const Slot &next)
-{
-    if (next.start < prev.start || prev.end > next.start + kEps)
-        util::panic("buffer lanes: interval [", next.start, ", ",
-                    next.end, ") cannot follow [", prev.start, ", ",
-                    prev.end, ") on one sub-accelerator");
-    return prev.end > next.start;
-}
-
 } // namespace
+
+void
+BufferLanes::disorder(const Slot &prev, const Slot &next)
+{
+    util::panic("buffer lanes: interval [", next.start, ", ", next.end,
+                ") cannot follow [", prev.start, ", ", prev.end,
+                ") on one sub-accelerator");
+}
 
 bool
 BufferLanes::cannotBind(double bytes) const
@@ -80,25 +74,6 @@ BufferLanes::append(std::size_t a, const Slot &slot)
         laneMax[a] = slot.bytes;
     }
     lane.push_back(slot);
-}
-
-void
-BufferLanes::move(std::size_t a, std::size_t from, std::size_t to,
-                  double new_start)
-{
-    Lane &lane = lanes[a];
-    Slot &s = lane[from];
-    s.end = new_start + (s.end - s.start);
-    s.start = new_start;
-    std::rotate(lane.begin() + static_cast<std::ptrdiff_t>(to),
-                lane.begin() + static_cast<std::ptrdiff_t>(from),
-                lane.begin() + static_cast<std::ptrdiff_t>(from + 1));
-    // The slots around `from` were ordered and still are; only the
-    // moved slot's new neighbours need a check.
-    if (to > 0)
-        overlap |= checkOrder(lane[to - 1], lane[to]);
-    if (to + 1 < lane.size())
-        overlap |= checkOrder(lane[to], lane[to + 1]);
 }
 
 void

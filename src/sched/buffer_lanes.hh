@@ -35,9 +35,12 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "sched/schedule.hh"
 
 namespace herald::sched
 {
@@ -69,10 +72,30 @@ class BufferLanes
 
     /**
      * Retime slot @p from of lane @p a to begin at @p new_start (same
-     * duration) and splice it to position @p to <= @p from.
+     * duration) and splice it to position @p to <= @p from. Inline:
+     * idle-time post-processing calls it once per move.
      */
-    void move(std::size_t a, std::size_t from, std::size_t to,
-              double new_start);
+    void
+    move(std::size_t a, std::size_t from, std::size_t to,
+         double new_start)
+    {
+        Lane &lane = lanes[a];
+        Slot &s = lane[from];
+        s.end = new_start + (s.end - s.start);
+        s.start = new_start;
+        if (from != to) {
+            std::rotate(
+                lane.begin() + static_cast<std::ptrdiff_t>(to),
+                lane.begin() + static_cast<std::ptrdiff_t>(from),
+                lane.begin() + static_cast<std::ptrdiff_t>(from + 1));
+        }
+        // The slots around `from` were ordered and still are; only
+        // the moved slot's new neighbours need a check.
+        if (to > 0)
+            overlap |= checkOrder(lane[to - 1], lane[to]);
+        if (to + 1 < lane.size())
+            overlap |= checkOrder(lane[to], lane[to + 1]);
+    }
 
     /**
      * Drop each lane's prefix of slots ending by @p floor_cycle.
@@ -108,6 +131,21 @@ class BufferLanes
                          double bytes) const;
 
   private:
+    /**
+     * Panic unless @p next may follow @p prev on one lane; return
+     * whether they overlap (@p prev ends after @p next starts).
+     */
+    static bool
+    checkOrder(const Slot &prev, const Slot &next)
+    {
+        if (next.start < prev.start || prev.end > next.start + kEps)
+            disorder(prev, next);
+        return prev.end > next.start;
+    }
+
+    [[noreturn]] static void disorder(const Slot &prev,
+                                      const Slot &next);
+
     double capacity;
     std::vector<Lane> lanes;
     std::vector<double> laneMax; //!< per lane, the most bytes any slot held

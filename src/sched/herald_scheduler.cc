@@ -120,6 +120,8 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
     const
 {
     std::vector<ScheduledLayer> &entries = schedule.mutableEntries();
+    PostProcessStats &stats = schedule.mutablePostProcessStats();
+    stats = PostProcessStats{};
     if (entries.empty())
         return;
 
@@ -144,28 +146,40 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                     schedule.numSubAccs(), " sub-accelerators and ",
                     entries.size(), " entries");
 
-    // Dependences, flat per entry: the entry that ran the previous
-    // layer of the same instance (kNone for layer 0) and the
-    // instance's arrival. Entries are in commit order, and a layer
+    // Dependences as ready times, flat per entry. ready_of[i] is the
+    // earliest start entry i's dependences allow: its instance's
+    // arrival, or the end of the entry that ran the instance's
+    // previous layer if that is later (pull/gap-fill must not hoist a
+    // frame's layers ahead of the frame itself). succ_of[i] is the
+    // entry whose ready time reads i's end (kNone if none); a retime
+    // of i refreshes it. Entries are in commit order, and a layer
     // commits only after its predecessor completed, so that
     // predecessor is the instance's latest completed entry so far.
     // Fault-killed entries are skipped: a killed pair reappears as a
     // later re-execution, and only the execution that completed the
-    // work is a dependence anchor.
+    // work is a dependence anchor. A killed entry and its
+    // re-execution share a predecessor, whose succ_of names only the
+    // re-execution; the killed entry's ready time is never refreshed.
+    // That is safe because every entry of an instance that suffered
+    // a kill is pinned below: never moved, its ready time never read.
     constexpr std::size_t kNone = SIZE_MAX;
-    std::vector<std::size_t> pred_of(entries.size());
-    std::vector<double> arrival_of(entries.size());
+    const std::vector<workload::Instance> &instances = wl.instances();
+    std::vector<double> ready_of(entries.size());
+    std::vector<std::size_t> succ_of(entries.size(), kNone);
     {
         std::vector<std::size_t> last_done(wl.numInstances(), kNone);
         for (std::size_t i = 0; i < entries.size(); ++i) {
             const ScheduledLayer &e = entries[i];
             std::size_t &last = last_done[e.instanceIdx];
-            pred_of[i] = e.layerIdx == 0 ? kNone : last;
-            if (pred_of[i] != kNone &&
-                entries[pred_of[i]].layerIdx + 1 != e.layerIdx)
-                util::panic("postProcessIdleTime: entry ", i,
-                            " does not follow its predecessor");
-            arrival_of[i] = wl.instances()[e.instanceIdx].arrivalCycle;
+            const double arrival = instances[e.instanceIdx].arrivalCycle;
+            ready_of[i] = arrival;
+            if (e.layerIdx != 0 && last != kNone) {
+                if (entries[last].layerIdx + 1 != e.layerIdx)
+                    util::panic("postProcessIdleTime: entry ", i,
+                                " does not follow its predecessor");
+                ready_of[i] = std::max(arrival, entries[last].endCycle);
+                succ_of[last] = i;
+            }
             if (!e.faultKilled)
                 last = i;
         }
@@ -202,7 +216,10 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
     // window (the dispatch loop never placed work there either).
     const std::vector<ReconfigEvent> &reconfigs =
         schedule.reconfigEvents();
+    const bool windows = faulty || !reconfigs.empty();
     auto window_ok = [&](std::size_t a, double new_start, double dur) {
+        if (!windows)
+            return true;
         if (faulty && !faults.windowUndisturbed(a, new_start, dur))
             return false;
         for (const ReconfigEvent &w : reconfigs) {
@@ -215,53 +232,49 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
         return true;
     };
 
-    // Earliest legal start: the predecessor's end, but never before
-    // the instance's arrival (pull/gap-fill must not hoist a frame's
-    // layers ahead of the frame itself).
-    auto dep_ready = [&](std::size_t i) {
-        const std::size_t pred = pred_of[i];
-        return pred == kNone
-                   ? arrival_of[i]
-                   : std::max(arrival_of[i], entries[pred].endCycle);
-    };
-
     auto retime = [&](std::size_t a, std::size_t from, std::size_t to,
                       double new_start) {
         lanes.move(a, from, to, new_start);
         const Slot &slot = lanes.lane(a)[to];
-        entries[slot.entry].startCycle = slot.start;
-        entries[slot.entry].endCycle = slot.end;
+        ScheduledLayer &e = entries[slot.entry];
+        e.startCycle = slot.start;
+        e.endCycle = slot.end;
+        const std::size_t succ = succ_of[slot.entry];
+        if (succ != kNone)
+            ready_of[succ] = std::max(
+                instances[entries[succ].instanceIdx].arrivalCycle,
+                slot.end);
     };
 
-    // Gap-fill one gap (Fig. 9) on lane a: the idle window before
-    // slot pos (pos == 0 is the leading window before the
-    // sub-accelerator's first entry — with staggered arrivals a frame
-    // pinned at its arrival can leave a long head gap that
-    // later-queued but already-arrived work should fill). The first of
-    // the next lookaheadDepth entries that fits moves to the earliest
-    // point inside the gap its dependences and arrival allow, and is
-    // spliced to slot pos so the lane stays the sub-accelerator's time
-    // order. Returns whether an entry moved.
+    // Gap-fill the non-empty gap (Fig. 9) on lane a before slot pos
+    // (pos == 0 is the leading window before the sub-accelerator's
+    // first entry — with staggered arrivals a frame pinned at its
+    // arrival can leave a long head gap that later-queued but
+    // already-arrived work should fill). The first of the next
+    // lookaheadDepth entries that fits moves to the earliest point
+    // inside the gap its dependences and arrival allow, and is
+    // spliced to slot pos so the lane stays the sub-accelerator's
+    // time order. One branch per candidate tests "fits in the gap"
+    // and "starts later than that point"; the checks after it are
+    // pure filters, so the first candidate they all accept is the
+    // same in any order. Returns whether an entry moved.
+    const std::size_t lookahead =
+        static_cast<std::size_t>(opts.lookaheadDepth);
     auto fill_gap = [&](std::size_t a, std::size_t pos) {
         const BufferLanes::Lane &vec = lanes.lane(a);
-        double gap_start = pos == 0 ? 0.0 : vec[pos - 1].end;
-        double gap_end = vec[pos].start;
-        if (gap_end - gap_start <= kEps)
-            return false;
-        int depth = 0;
-        for (std::size_t j = pos;
-             j < vec.size() && depth < opts.lookaheadDepth;
-             ++j, ++depth) {
+        const double gap_start = pos == 0 ? 0.0 : vec[pos - 1].end;
+        const double fit_end = vec[pos].start + kEps;
+        const std::size_t stop = std::min(vec.size(), pos + lookahead);
+        for (std::size_t j = pos; j < stop; ++j) {
             const Slot &slot = vec[j];
-            if (faulty && pinned[slot.entry])
-                continue;
             const double dur = slot.end - slot.start;
             const double earliest =
-                std::max(gap_start, dep_ready(slot.entry));
-            if (earliest + dur > gap_end + kEps)
-                continue; // does not fit in the gap
-            if (slot.start <= earliest + kEps)
-                continue; // no improvement
+                std::max(gap_start, ready_of[slot.entry]);
+            if (!((earliest + dur <= fit_end) &
+                  (slot.start > earliest + kEps)))
+                continue; // does not fit, or no improvement
+            if (faulty && pinned[slot.entry])
+                continue;
             if (!window_ok(a, earliest, dur))
                 continue; // would land on a fault
             // Context-change penalties are baked into entry
@@ -318,7 +331,7 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
     // spliced slot j into [pos, j]; gap p' reads only
     //  - slots p'-1 .. p'+lookaheadDepth (its bounds, candidates,
     //    context-penalty neighbours and orphan), all left of pos;
-    //  - dep_ready of those candidates: only the moved entry's
+    //  - the ready times of those candidates: only the moved entry's
     //    successor changed, and it lies after pos on the timeline;
     //  - buffer intervals starting by (slot p' start + kEps) + kEps
     //    (a candidate ends by the gap end + kEps, occupancy reads
@@ -330,8 +343,6 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
     // sorted, so it bounds the rest); when it fails the scan restarts
     // at 0. Either way the moves are exactly those of a restart
     // from 0.
-    const std::size_t lookahead =
-        static_cast<std::size_t>(opts.lookaheadDepth);
     auto resume_at = [&](const BufferLanes::Lane &vec,
                          std::size_t pos) -> std::size_t {
         if (pos <= lookahead + 1)
@@ -341,7 +352,23 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
         return reach < vec[pos - 1].end ? r : 0;
     };
 
+    // The first gap at or after pos that is longer than kEps (the
+    // lane size if none): nothing fits in a shorter one, so a tight
+    // loop steps over them before any candidate is read.
+    auto next_gap = [](const BufferLanes::Lane &vec, std::size_t pos) {
+        const std::size_t n = vec.size();
+        if (pos == 0) {
+            if (n == 0 || vec[0].start > kEps)
+                return pos;
+            pos = 1;
+        }
+        while (pos < n && vec[pos].start - vec[pos - 1].end <= kEps)
+            ++pos;
+        return pos;
+    };
+
     for (int pass = 0; pass < opts.maxPostPasses; ++pass) {
+        ++stats.passes;
         bool changed = false;
 
         // Pull pass: shift entries earlier preserving order.
@@ -349,38 +376,42 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
             const BufferLanes::Lane &vec = lanes.lane(a);
             for (std::size_t pos = 0; pos < vec.size(); ++pos) {
                 const Slot &slot = vec[pos];
-                if (faulty && pinned[slot.entry])
-                    continue;
-                const double dur = slot.end - slot.start;
                 const double acc_prev_end =
                     pos == 0 ? 0.0 : vec[pos - 1].end;
                 const double new_start =
-                    std::max(dep_ready(slot.entry), acc_prev_end);
-                if (new_start < slot.start - kEps &&
-                    window_ok(a, new_start, dur) &&
+                    std::max(ready_of[slot.entry], acc_prev_end);
+                if (!(new_start < slot.start - kEps))
+                    continue;
+                if (faulty && pinned[slot.entry])
+                    continue;
+                const double dur = slot.end - slot.start;
+                if (window_ok(a, new_start, dur) &&
                     lanes.feasible(new_start, dur, slot.bytes, &slot)) {
                     retime(a, pos, pos, new_start);
+                    ++stats.pullMoves;
                     changed = true;
                 }
             }
         }
 
-        // Gap-fill pass: scan the gaps left to right, resuming
-        // shortly before each move (see resume_at), with at most
-        // lane size + 8 moves per sub-accelerator.
+        // Gap-fill pass: scan the non-empty gaps left to right,
+        // resuming shortly before each move (see resume_at), with at
+        // most lane size + 8 moves per sub-accelerator.
         for (std::size_t a = 0; a < lanes.numLanes(); ++a) {
             const BufferLanes::Lane &vec = lanes.lane(a);
-            const std::size_t max_moves = vec.size() + 8;
+            const std::size_t n = vec.size();
+            const std::size_t max_moves = n + 8;
             std::size_t moves = 0;
-            std::size_t pos = 0;
-            while (pos < vec.size() && moves < max_moves) {
+            std::size_t pos = next_gap(vec, 0);
+            while (pos < n && moves < max_moves) {
                 if (!fill_gap(a, pos)) {
-                    ++pos;
+                    pos = next_gap(vec, pos + 1);
                     continue;
                 }
                 changed = true;
                 ++moves;
-                pos = resume_at(vec, pos);
+                ++stats.gapMoves;
+                pos = next_gap(vec, resume_at(vec, pos));
             }
         }
 

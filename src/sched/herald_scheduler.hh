@@ -251,34 +251,39 @@ class HeraldScheduler
                       const accel::Accelerator &acc,
                       const LayerCostTable &table) const;
 
+    /**
+     * Idle-time elimination (Fig. 9): pull + gap-fill sweeps over
+     * @p lanes, which must hold exactly one slot per entry of
+     * @p schedule, in each sub-accelerator's time order, with the
+     * slot's entry as its schedule index (a slot count other than the
+     * entry count panics). schedule() hands over the dispatch
+     * engine's own lanes (OnlineScheduler::takeLanes()): retain mode
+     * never retires a slot. They are both the global-buffer check and
+     * the time order, maintained across passes and moves (a gap-fill
+     * splices one slot; a pull retimes it in place), and the scans
+     * read start and duration off the slots. Dependences are two flat
+     * per-entry arrays: each entry's ready time (arrival or the
+     * predecessor's end) and its successor, whose ready time a retime
+     * refreshes. The gap-fill skips gaps of at most kEps in a tight
+     * loop and tests each candidate's fit and gain with one branch
+     * before the pinned, window, context-penalty and buffer filters.
+     * After a move at gap pos it resumes at max(0, pos -
+     * lookaheadDepth - 1) rather than 0: no gap further left reads
+     * anything the move changed, so the moves are exactly those of a
+     * restart from 0 (sched/reference_scheduler.hh keeps that scan as
+     * an oracle). Sets schedule.postProcessStats(). Cost:
+     * O(passes x (N + moves x LA) x LA) candidate checks for N
+     * entries and look-ahead LA, instead of O(passes x moves x N x
+     * LA). Public so that tests can run it on hand-built schedules.
+     */
+    void postProcessIdleTime(Schedule &schedule, BufferLanes lanes,
+                             const workload::Workload &wl) const;
+
     const SchedulerOptions &options() const { return opts; }
 
   private:
     cost::CostModel &costModel;
     SchedulerOptions opts;
-
-    /**
-     * Idle-time elimination (Fig. 9): pull + gap-fill sweeps over
-     * @p lanes, the dispatch engine's own buffer lanes
-     * (OnlineScheduler::takeLanes()). They are both the global-buffer
-     * check and each sub-accelerator's time order, inherited rather
-     * than rebuilt: retain mode never retires a slot and a slot's
-     * entry is its schedule index, so they cover every entry (checked:
-     * a slot count other than the entry count panics). They are
-     * maintained across passes and across gap-fill moves (a one-slot
-     * splice replaces a re-sort), and the scans read start and
-     * duration off the slots; dependences come from flat per-entry
-     * predecessor and arrival arrays. After a move at gap pos the
-     * gap-fill scan resumes at max(0, pos - lookaheadDepth - 1)
-     * rather than 0: no gap further left reads anything the move
-     * changed, so the moves are exactly those of a restart from 0
-     * (sched/reference_scheduler.hh keeps that scan as an oracle).
-     * Cost: O(passes x (N + moves x LA) x LA) candidate checks for N
-     * entries and look-ahead LA, instead of O(passes x moves x N x
-     * LA).
-     */
-    void postProcessIdleTime(Schedule &schedule, BufferLanes lanes,
-                             const workload::Workload &wl) const;
 };
 
 } // namespace herald::sched

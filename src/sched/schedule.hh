@@ -162,6 +162,18 @@ struct ScheduleSummary
 };
 
 /**
+ * Deterministic work counters of idle-time post-processing
+ * (HeraldScheduler): sweeps run, counting the last one that moved
+ * nothing, and the entries each kind of sweep retimed.
+ */
+struct PostProcessStats
+{
+    std::size_t passes = 0;
+    std::size_t pullMoves = 0;
+    std::size_t gapMoves = 0;
+};
+
+/**
  * A (possibly in-construction) schedule. Entries are appended by the
  * schedulers and may be retimed by post-processing; finalize()
  * computes the summary including idle static energy for
@@ -223,6 +235,10 @@ class Schedule
     const std::vector<ScheduledLayer> &entries() const { return list; }
     std::vector<ScheduledLayer> &mutableEntries() { return list; }
     std::size_t numSubAccs() const { return numAccs; }
+
+    /** What post-processing did; all zero when it did not run. */
+    const PostProcessStats &postProcessStats() const { return ppStats; }
+    PostProcessStats &mutablePostProcessStats() { return ppStats; }
 
     /** Latest end time over all entries. */
     double makespanCycles() const;
@@ -303,6 +319,7 @@ class Schedule
     std::vector<ScheduledLayer> list;
     std::vector<std::size_t> droppedList; //!< sorted ascending
     std::vector<ReconfigEvent> reconfigList; //!< commit order
+    PostProcessStats ppStats;
 };
 
 /**

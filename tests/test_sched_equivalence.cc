@@ -547,6 +547,67 @@ TEST_F(SchedEquivalenceTest, PostProcessMatchesRestartFromZeroOracle)
     EXPECT_GT(deferred, 0u);
 }
 
+TEST_F(SchedEquivalenceTest, PostProcessMatchesOracleAtKEpsMargins)
+{
+    // Hand-built schedules whose moves turn on a kEps margin, run
+    // through the production pass (on lanes rebuilt from the entries)
+    // and the restart-from-zero oracle. Entries this short only arise
+    // from fault kills, which are pinned, so the fault grid above
+    // never reaches these branches: a zero-gain move and a gap just
+    // over kEps.
+    const double k = sched::kEps;
+    const Accelerator acc = edgeHda();
+    dnn::Model tiny("Tiny");
+    tiny.addLayer(dnn::makeFullyConnected("f", 16, 16));
+    auto run = [&](const std::vector<double> &arrivals,
+                   const std::vector<sched::ScheduledLayer> &entries) {
+        Workload wl("kEps-margins");
+        for (double arrival : arrivals)
+            wl.addModel(tiny, 1, arrival);
+        Schedule actual(acc.numSubAccs());
+        for (const sched::ScheduledLayer &e : entries)
+            actual.add(e);
+        Schedule expected = actual;
+        // Entries are listed in each lane's time order.
+        sched::BufferLanes lanes(acc.globalBufferBytes(),
+                                 acc.numSubAccs());
+        for (std::size_t i = 0; i < entries.size(); ++i)
+            lanes.append(entries[i].accIdx,
+                         {entries[i].startCycle, entries[i].endCycle,
+                          0.0, i});
+        HeraldScheduler(model).postProcessIdleTime(actual,
+                                                   std::move(lanes), wl);
+        sched::referencePostProcessIdleTime(expected, wl, acc,
+                                            SchedulerOptions{});
+        EXPECT_TRUE(actual.identicalTo(expected));
+        return actual;
+    };
+    auto entry = [](std::size_t inst, double start, double end) {
+        sched::ScheduledLayer e;
+        e.instanceIdx = inst;
+        e.startCycle = start;
+        e.endCycle = end;
+        return e;
+    };
+
+    // Arriving at 36, the half-kEps layer could start kEps earlier:
+    // no gain, no move.
+    const Schedule no_gain =
+        run({0.0, 36.0},
+            {entry(0, 0.0, 30.0), entry(1, 36.0 + k, 36.0 + 1.5 * k)});
+    EXPECT_EQ(no_gain.entries()[1].startCycle, 36.0 + k);
+    EXPECT_EQ(no_gain.postProcessStats().gapMoves, 0u);
+
+    // A gap of 1.5 kEps takes the 1.2-kEps layer queued behind the
+    // entry that follows the gap.
+    const Schedule tight_gap =
+        run({0.0, 30.0 + 1.5 * k, 0.0},
+            {entry(0, 0.0, 30.0), entry(1, 30.0 + 1.5 * k, 40.0),
+             entry(2, 40.0, 40.0 + 1.2 * k)});
+    EXPECT_EQ(tight_gap.entries()[2].startCycle, 30.0);
+    EXPECT_EQ(tight_gap.postProcessStats().gapMoves, 1u);
+}
+
 TEST_F(SchedEquivalenceTest, BufferLanesProveSlackOnlyWhereItHolds)
 {
     // The DSE's setting, AR/VR-A on the 3-way edge HDA at its full
