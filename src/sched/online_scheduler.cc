@@ -154,7 +154,7 @@ OnlineScheduler::bind(cost::CostModel &cost_model,
 
     accAvail.assign(nAcc, 0.0);
     accLastInstance.assign(nAcc, SIZE_MAX);
-    lastRetiredEnd.assign(nAcc, 0.0);
+    retireChecker = EntryChecker(nAcc, faulty ? &faults : nullptr);
     modelStats.assign(nModels, OnlineModelStats{});
     latHist.assign(kLatBuckets, 0);
 
@@ -1070,7 +1070,6 @@ OnlineScheduler::maintenance()
     // sub-accelerator that is time order), and fail loudly rather
     // than let the rolling counters absorb a corrupt schedule. Commit
     // order is not end order, so this is an order-preserving sweep.
-    const FaultTimeline &faults = opts.sched.faults;
     std::vector<ScheduledLayer> &entries = sched.mutableEntries();
     std::size_t kept = 0;
     for (std::size_t r = 0; r < entries.size(); ++r) {
@@ -1082,31 +1081,10 @@ OnlineScheduler::maintenance()
         if (e.instanceIdx < winFront)
             util::panic("online watchdog: retired entry references "
                         "an already-popped frame ", e.instanceIdx);
-        const Frame &f = frameAt(e.instanceIdx);
-        if (e.startCycle < f.arrival - kEps)
-            util::panic("online watchdog: retired entry of frame ",
-                        e.instanceIdx, " starts ", e.startCycle,
-                        " before its arrival ", f.arrival);
-        if (e.startCycle < lastRetiredEnd[e.accIdx] - kEps)
-            util::panic("online watchdog: retired entries overlap "
-                        "on sub-accelerator ", e.accIdx, " at ",
-                        e.startCycle);
-        if (faulty) {
-            if (e.faultKilled) {
-                if (!faults.isFaultOnset(e.accIdx, e.endCycle))
-                    util::panic("online watchdog: fault-killed entry "
-                                "ends at ", e.endCycle, ", not at an "
-                                "onset on sub-accelerator ",
-                                e.accIdx);
-            } else if (!faults.windowAvailable(e.accIdx, e.startCycle,
-                                               e.duration())) {
-                util::panic("online watchdog: retired entry overlaps "
-                            "an unavailable window on "
-                            "sub-accelerator ", e.accIdx);
-            }
-        }
-        lastRetiredEnd[e.accIdx] =
-            std::max(lastRetiredEnd[e.accIdx], e.endCycle);
+        const std::string bad =
+            retireChecker.check(e, frameAt(e.instanceIdx).arrival);
+        if (!bad.empty())
+            util::panic("online watchdog: ", bad);
         ++retiredEntries;
     }
     entries.resize(kept);

@@ -39,9 +39,9 @@
  *   shedding, which are re-proved incrementally with the same
  *   proofs the batch path runs.
  * - An internal watchdog audits every retirement batch (monotone
- *   floor, per-sub-accelerator non-overlap, arrival causality, fault
- *   consistency, bounded ready set) and panics on the first
- *   violation instead of silently corrupting rolling counters.
+ *   floor, bounded ready set, and each retired entry through the
+ *   EntryChecker that Schedule::validate() runs) and panics on the
+ *   first violation instead of silently corrupting rolling counters.
  *
  * Equivalence guarantees: on any finite workload, submitting every
  * frame in arrival order and draining yields — in retainSchedule
@@ -442,7 +442,7 @@ class OnlineScheduler
     // --- Maintenance / watchdog ---
     std::size_t commitsSinceMaintenance = 0;
     double retireFloor = 0.0;
-    std::vector<double> lastRetiredEnd; //!< per sub-accelerator
+    EntryChecker retireChecker{0, nullptr}; //!< audits retired entries
     std::uint64_t retiredEntries = 0;
 
     // --- Rolling SLA accumulators ---

@@ -339,19 +339,14 @@ Schedule::validate(const workload::Workload &wl,
                    const accel::Accelerator &acc,
                    const FaultTimeline *faults) const
 {
-    std::ostringstream err;
-
-    if (numAccs != acc.numSubAccs()) {
-        err << "schedule built for " << numAccs
-            << " sub-accelerators, accelerator has "
-            << acc.numSubAccs();
-        return err.str();
-    }
-    if (faults && faults->numSubAccs() != numAccs) {
-        err << "fault timeline built for " << faults->numSubAccs()
-            << " sub-accelerators, schedule has " << numAccs;
-        return err.str();
-    }
+    using util::concat;
+    if (numAccs != acc.numSubAccs())
+        return concat("schedule built for ", numAccs,
+                      " sub-accelerators, accelerator has ",
+                      acc.numSubAccs());
+    if (faults && faults->numSubAccs() != numAccs)
+        return concat("fault timeline built for ", faults->numSubAccs(),
+                      " sub-accelerators, schedule has ", numAccs);
 
     // Dropped frames are intentionally incomplete: a frame shed at
     // admission has no layers at all, a frame shed mid-schedule
@@ -360,10 +355,8 @@ Schedule::validate(const workload::Workload &wl,
     // dependence-chain prefix, and completeness is judged on the
     // remainder.
     for (std::size_t d : droppedList) {
-        if (d >= wl.numInstances()) {
-            err << "dropped instance " << d << " out of range";
-            return err.str();
-        }
+        if (d >= wl.numInstances())
+            return concat("dropped instance ", d, " out of range");
     }
 
     // Completeness: every non-dropped (instance, layer) exactly
@@ -377,34 +370,25 @@ Schedule::validate(const workload::Workload &wl,
     std::vector<std::size_t> layer_count(wl.numInstances(), 0);
     std::vector<std::size_t> max_layer(wl.numInstances(), 0);
     for (const ScheduledLayer &e : list) {
-        if (e.instanceIdx >= wl.numInstances()) {
-            err << "entry references instance " << e.instanceIdx
-                << " out of range";
-            return err.str();
-        }
+        if (e.instanceIdx >= wl.numInstances())
+            return concat("entry references instance ", e.instanceIdx,
+                          " out of range");
         const dnn::Model &model = wl.modelOf(e.instanceIdx);
-        if (e.layerIdx >= model.numLayers()) {
-            err << "entry references layer " << e.layerIdx
-                << " out of range for " << model.name();
-            return err.str();
-        }
+        if (e.layerIdx >= model.numLayers())
+            return concat("entry references layer ", e.layerIdx,
+                          " out of range for ", model.name());
         if (e.faultKilled) {
-            if (!faults) {
-                err << "fault-killed entry (instance "
-                    << e.instanceIdx << " layer " << e.layerIdx
-                    << ") without a fault timeline";
-                return err.str();
-            }
+            if (!faults)
+                return concat("fault-killed entry (instance ",
+                              e.instanceIdx, " layer ", e.layerIdx,
+                              ") without a fault timeline");
             killed.push_back(&e);
             continue;
         }
         auto key = std::make_pair(e.instanceIdx, e.layerIdx);
-        if (seen.count(key)) {
-            err << "duplicate entry for instance " << e.instanceIdx
-                << " layer " << e.layerIdx;
-            return err.str();
-        }
-        seen[key] = &e;
+        if (!seen.emplace(key, &e).second)
+            return concat("duplicate entry for instance ", e.instanceIdx,
+                          " layer ", e.layerIdx);
         ++layer_count[e.instanceIdx];
         max_layer[e.instanceIdx] =
             std::max(max_layer[e.instanceIdx], e.layerIdx);
@@ -414,73 +398,49 @@ Schedule::validate(const workload::Workload &wl,
         if (isDropped(i)) {
             // Uniqueness holds, so "prefix" == the max scheduled
             // layer index is count - 1.
-            if (layer_count[i] > 0 &&
-                max_layer[i] != layer_count[i] - 1) {
-                err << "dropped instance " << i << " scheduled "
-                    << layer_count[i]
-                    << " layers that are not a chain prefix";
-                return err.str();
-            }
-            if (layer_count[i] >= expect) {
-                err << "dropped instance " << i
-                    << " is fully scheduled";
-                return err.str();
-            }
+            if (layer_count[i] > 0 && max_layer[i] != layer_count[i] - 1)
+                return concat("dropped instance ", i, " scheduled ",
+                              layer_count[i],
+                              " layers that are not a chain prefix");
+            if (layer_count[i] >= expect)
+                return concat("dropped instance ", i,
+                              " is fully scheduled");
         } else if (layer_count[i] != expect) {
-            err << "instance " << i << " has " << layer_count[i]
-                << " scheduled layers, model has " << expect;
-            return err.str();
+            return concat("instance ", i, " has ", layer_count[i],
+                          " scheduled layers, model has ", expect);
         }
     }
 
-    // Fault consistency: every entry stays clear of unavailable
-    // windows (killed entries end *at* the onset, which is exactly
-    // the boundary of availability), and every killed entry ends at
-    // a fault onset and precedes the re-execution of its layer.
-    if (faults) {
-        for (const ScheduledLayer &e : list) {
-            if (!faults->windowAvailable(e.accIdx, e.startCycle,
-                                         e.duration())) {
-                err << "instance " << e.instanceIdx << " layer "
-                    << e.layerIdx << " [" << e.startCycle << ", "
-                    << e.endCycle << ") overlaps an unavailable "
-                    << "window on sub-accelerator " << e.accIdx;
-                return err.str();
-            }
+    // The entry-level invariants: arrival, per-sub-accelerator
+    // overlap and the fault-window rules (EntryChecker).
+    EntryChecker checker(numAccs, faults);
+    for (const std::vector<const ScheduledLayer *> &run :
+         entriesByStart(*this)) {
+        for (const ScheduledLayer *e : run) {
+            std::string bad = checker.check(
+                *e, wl.instances()[e->instanceIdx].arrivalCycle);
+            if (!bad.empty())
+                return bad;
         }
-        for (const ScheduledLayer *k : killed) {
-            if (!faults->isFaultOnset(k->accIdx, k->endCycle)) {
-                err << "fault-killed entry (instance "
-                    << k->instanceIdx << " layer " << k->layerIdx
-                    << ") ends at " << k->endCycle
-                    << ", not at a fault onset on sub-accelerator "
-                    << k->accIdx;
-                return err.str();
-            }
-            auto it = seen.find(
-                std::make_pair(k->instanceIdx, k->layerIdx));
-            if (it != seen.end()) {
-                if (it->second->startCycle < k->endCycle - kEps) {
-                    err << "re-execution of instance "
-                        << k->instanceIdx << " layer " << k->layerIdx
-                        << " starts " << it->second->startCycle
-                        << " before its killed attempt ends "
-                        << k->endCycle;
-                    return err.str();
-                }
-            } else if (!isDropped(k->instanceIdx)) {
-                err << "instance " << k->instanceIdx << " layer "
-                    << k->layerIdx << " was fault-killed but never "
-                    << "re-executed (and the frame is not dropped)";
-                return err.str();
-            } else if (k->layerIdx != layer_count[k->instanceIdx]) {
-                // A dropped frame's unrecovered kill can only be the
-                // attempt at the first uncommitted layer.
-                err << "dropped instance " << k->instanceIdx
-                    << " has a killed attempt at layer "
-                    << k->layerIdx << " beyond its committed prefix";
-                return err.str();
-            }
+    }
+
+    // Every killed entry precedes the re-execution of its layer.
+    for (const ScheduledLayer *k : killed) {
+        auto it = seen.find(std::make_pair(k->instanceIdx, k->layerIdx));
+        if (it != seen.end()) {
+            if (it->second->startCycle < k->endCycle - kEps)
+                return concat("re-execution of instance ", k->instanceIdx,
+                              " layer ", k->layerIdx, " starts ",
+                              it->second->startCycle,
+                              " before its killed attempt ends ",
+                              k->endCycle);
+        } else if (k->layerIdx != layer_count[k->instanceIdx]) {
+            // Only a dropped frame misses a layer (completeness), and
+            // its unrecovered kill can only be the attempt at the
+            // first uncommitted layer.
+            return concat("dropped instance ", k->instanceIdx,
+                          " has a killed attempt at layer ", k->layerIdx,
+                          " beyond its committed prefix");
         }
     }
 
@@ -488,83 +448,42 @@ Schedule::validate(const workload::Workload &wl,
     // receiver: no entry on either party may overlap one (a layer in
     // flight at the window start would have been drained or killed).
     for (const ReconfigEvent &w : reconfigList) {
-        if (w.donor >= numAccs || w.receiver >= numAccs) {
-            err << "reconfig event references sub-accelerator out of "
-                << "range";
-            return err.str();
-        }
         for (const ScheduledLayer &e : list) {
-            if (e.accIdx != w.donor && e.accIdx != w.receiver)
-                continue;
-            if (e.startCycle < w.endCycle - kEps &&
-                e.endCycle > w.startCycle + kEps) {
-                err << "instance " << e.instanceIdx << " layer "
-                    << e.layerIdx << " [" << e.startCycle << ", "
-                    << e.endCycle << ") overlaps reconfig window ["
-                    << w.startCycle << ", " << w.endCycle
-                    << ") on sub-accelerator " << e.accIdx;
-                return err.str();
-            }
-        }
-    }
-
-    // Arrival: no layer starts before its instance arrives.
-    for (const ScheduledLayer &e : list) {
-        double arrival = wl.instances()[e.instanceIdx].arrivalCycle;
-        if (e.startCycle < arrival - kEps) {
-            err << "arrival violation: instance " << e.instanceIdx
-                << " layer " << e.layerIdx << " starts "
-                << e.startCycle << " before arrival " << arrival;
-            return err.str();
+            if ((e.accIdx == w.donor || e.accIdx == w.receiver) &&
+                e.startCycle < w.endCycle - kEps &&
+                e.endCycle > w.startCycle + kEps)
+                return concat("instance ", e.instanceIdx, " layer ",
+                              e.layerIdx, " [", e.startCycle, ", ",
+                              e.endCycle, ") overlaps reconfig window [",
+                              w.startCycle, ", ", w.endCycle,
+                              ") on sub-accelerator ", e.accIdx);
         }
     }
 
     // Dependence: layer l starts after layer l-1 of the same
     // instance (killed attempts at layer l obey the same bound —
     // the attempt could not begin before the chain reached it).
+    // Layer l-1 is in `seen`: the checks above leave every frame a
+    // chain prefix with any unrecovered kill right after it.
     for (const ScheduledLayer &e : list) {
         if (e.layerIdx == 0)
             continue;
-        auto prev_it =
-            seen.find(std::make_pair(e.instanceIdx, e.layerIdx - 1));
-        if (prev_it == seen.end()) {
-            err << "instance " << e.instanceIdx << " layer "
-                << e.layerIdx << " has no completed predecessor";
-            return err.str();
-        }
-        const ScheduledLayer *prev = prev_it->second;
-        if (e.startCycle < prev->endCycle - kEps) {
-            err << "dependence violation: instance " << e.instanceIdx
-                << " layer " << e.layerIdx << " starts "
-                << e.startCycle << " before predecessor ends "
-                << prev->endCycle;
-            return err.str();
-        }
-    }
-
-    // Non-overlap per sub-accelerator.
-    const auto on_acc = entriesByStart(*this);
-    for (std::size_t a = 0; a < numAccs; ++a) {
-        const std::vector<const ScheduledLayer *> &run = on_acc[a];
-        for (std::size_t i = 1; i < run.size(); ++i) {
-            if (run[i]->startCycle < run[i - 1]->endCycle - kEps) {
-                err << "overlap on sub-accelerator " << a << " at cycle "
-                    << run[i]->startCycle;
-                return err.str();
-            }
-        }
+        const ScheduledLayer *prev =
+            seen.at(std::make_pair(e.instanceIdx, e.layerIdx - 1));
+        if (e.startCycle < prev->endCycle - kEps)
+            return concat("dependence violation: instance ",
+                          e.instanceIdx, " layer ", e.layerIdx,
+                          " starts ", e.startCycle,
+                          " before predecessor ends ", prev->endCycle);
     }
 
     // Global-buffer occupancy.
     const std::int64_t cap =
         static_cast<std::int64_t>(acc.globalBufferBytes());
     const Occupancy over = occupancySweep(list, cap);
-    if (over.bytes > cap) {
-        err << "global buffer over-subscribed (" << over.bytes << " > "
-            << cap << " bytes) at cycle " << over.cycle;
-        return err.str();
-    }
-
+    if (over.bytes > cap)
+        return concat("global buffer over-subscribed (", over.bytes,
+                      " > ", cap, " bytes) at cycle ", over.cycle);
     return "";
 }
 
@@ -589,18 +508,49 @@ checkContextPenalties(const Schedule &schedule,
                 i > 0 && run[i - 1]->instanceIdx != e.instanceIdx
                     ? context_change_cycles
                     : 0.0;
-            if (e.contextPenaltyCycles != expected) {
-                std::ostringstream err;
-                err << "stale context penalty on sub-accelerator "
-                    << a << ": instance " << e.instanceIdx
-                    << " layer " << e.layerIdx << " carries "
-                    << e.contextPenaltyCycles << " cycles, adjacency "
-                    << "requires " << expected;
-                return err.str();
-            }
+            if (e.contextPenaltyCycles != expected)
+                return util::concat(
+                    "stale context penalty on sub-accelerator ", a,
+                    ": instance ", e.instanceIdx, " layer ", e.layerIdx,
+                    " carries ", e.contextPenaltyCycles,
+                    " cycles, adjacency requires ", expected);
         }
     }
     return "";
+}
+
+std::string
+EntryChecker::arrivalViolation(const ScheduledLayer &e, double arrival)
+{
+    return util::concat("arrival violation: instance ", e.instanceIdx,
+                        " layer ", e.layerIdx, " starts ", e.startCycle,
+                        " before arrival ", arrival);
+}
+
+std::string
+EntryChecker::overlapViolation(const ScheduledLayer &e)
+{
+    return util::concat("overlap on sub-accelerator ", e.accIdx,
+                        " at cycle ", e.startCycle);
+}
+
+std::string
+EntryChecker::faultViolation(const ScheduledLayer &e) const
+{
+    if (!faults->windowAvailable(e.accIdx, e.startCycle, e.duration()))
+        return util::concat("instance ", e.instanceIdx, " layer ",
+                            e.layerIdx, " [", e.startCycle, ", ",
+                            e.endCycle,
+                            ") overlaps an unavailable window on "
+                            "sub-accelerator ",
+                            e.accIdx);
+    if (e.faultKilled && !faults->isFaultOnset(e.accIdx, e.endCycle))
+        return util::concat("fault-killed entry (instance ", e.instanceIdx,
+                            " layer ", e.layerIdx, ") ends at ",
+                            e.endCycle,
+                            ", not at a fault onset on sub-accelerator ",
+                            e.accIdx);
+    return {};
 }
 
 std::string

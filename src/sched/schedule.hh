@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -277,6 +278,9 @@ class Schedule
      * buffer occupancy. Returns an empty string when valid, else a
      * description of the first violation.
      *
+     * The arrival, overlap and fault-window rules are EntryChecker's,
+     * run over each sub-accelerator's entries in start order.
+     *
      * With a non-null @p faults the fault-consistency rules apply
      * too: no entry may overlap an unavailable window, every
      * fault-killed entry must end exactly at a fault onset on its
@@ -345,6 +349,62 @@ SlaStats frameSla(const Schedule &schedule,
  */
 std::string checkContextPenalties(const Schedule &schedule,
                                   double context_change_cycles);
+
+/**
+ * The entry-level schedule invariants, checked incrementally. Fed
+ * each sub-accelerator's entries in time order (any interleaving
+ * across sub-accelerators), it checks every entry for
+ * - arrival: it starts no earlier than its instance's arrival;
+ * - overlap: it starts no earlier than the running maximum end of
+ *   the entries already fed on its sub-accelerator;
+ * - with a fault timeline, fault windows: it stays clear of every
+ *   unavailable window (a fault-killed entry ends *at* its onset,
+ *   the boundary of availability), and a fault-killed entry ends
+ *   exactly at a fault onset on its sub-accelerator.
+ * Schedule::validate() feeds it the whole schedule; the online
+ * watchdog feeds it each entry it retires.
+ */
+class EntryChecker
+{
+  public:
+    /** @p faults may be null (no fault rules); it must outlive this. */
+    EntryChecker(std::size_t num_sub_accs, const FaultTimeline *faults)
+        : lastEnd(num_sub_accs, 0.0), faults(faults)
+    {
+    }
+
+    /**
+     * Check @p e, whose instance arrives at @p arrival. Returns an
+     * empty string (no allocation) when it keeps every invariant,
+     * else a description of the first one it breaks.
+     */
+    std::string
+    check(const ScheduledLayer &e, double arrival)
+    {
+        double &last = lastEnd[e.accIdx];
+        if (e.startCycle < arrival - kEps)
+            return arrivalViolation(e, arrival);
+        if (e.startCycle < last - kEps)
+            return overlapViolation(e);
+        if (faults) {
+            std::string err = faultViolation(e);
+            if (!err.empty())
+                return err;
+        }
+        last = std::max(last, e.endCycle);
+        return {};
+    }
+
+  private:
+    static std::string arrivalViolation(const ScheduledLayer &e,
+                                        double arrival);
+    static std::string overlapViolation(const ScheduledLayer &e);
+    /** The fault-window rules alone: empty when @p e keeps them. */
+    std::string faultViolation(const ScheduledLayer &e) const;
+
+    std::vector<double> lastEnd; //!< per sub-accelerator
+    const FaultTimeline *faults;
+};
 
 } // namespace herald::sched
 

@@ -37,9 +37,7 @@ void setVerbose(bool verbose);
 /** Whether Inform-level output is currently enabled. */
 bool verbose();
 
-namespace detail
-{
-
+/** Every argument streamed into one string. */
 template <typename... Args>
 std::string
 concat(Args &&...args)
@@ -49,15 +47,12 @@ concat(Args &&...args)
     return oss.str();
 }
 
-} // namespace detail
-
 /** Report an internal invariant violation; throws std::logic_error. */
 template <typename... Args>
 [[noreturn]] void
 panic(Args &&...args)
 {
-    logMessage(LogLevel::Panic,
-               detail::concat(std::forward<Args>(args)...));
+    logMessage(LogLevel::Panic, concat(std::forward<Args>(args)...));
     throw std::logic_error("unreachable");
 }
 
@@ -66,8 +61,7 @@ template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-    logMessage(LogLevel::Fatal,
-               detail::concat(std::forward<Args>(args)...));
+    logMessage(LogLevel::Fatal, concat(std::forward<Args>(args)...));
     throw std::runtime_error("unreachable");
 }
 
@@ -76,8 +70,7 @@ template <typename... Args>
 void
 warn(Args &&...args)
 {
-    logMessage(LogLevel::Warn,
-               detail::concat(std::forward<Args>(args)...));
+    logMessage(LogLevel::Warn, concat(std::forward<Args>(args)...));
 }
 
 /** Report normal operating status. */
@@ -85,8 +78,7 @@ template <typename... Args>
 void
 inform(Args &&...args)
 {
-    logMessage(LogLevel::Inform,
-               detail::concat(std::forward<Args>(args)...));
+    logMessage(LogLevel::Inform, concat(std::forward<Args>(args)...));
 }
 
 } // namespace herald::util
