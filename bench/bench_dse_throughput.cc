@@ -24,7 +24,10 @@
  *   - a rerun with a different thread count is bit-identical (best
  *     point, point count, frontier).
  * The gate also holds exhaustive.candidates_per_sec within the
- * tolerance and annealing.evaluations_to_optimum exactly.
+ * tolerance, and annealing.evaluations_to_optimum and
+ * exhaustive.cost_evals (the distinct (layer, style, resources)
+ * evaluations of the sweep's fresh CostModel — the same at every
+ * thread count) exactly.
  *
  * The gated legs run serially (numThreads = 1) so the metric isolates
  * per-candidate engine work from pool scaling; the parallel exhaustive
@@ -70,6 +73,7 @@ struct SweepResult
     double seconds = 0.0;
     double bestObjective = 0.0;
     std::size_t frontierSize = 0;
+    std::size_t costEvals = 0; //!< distinct cost-model evaluations
     dse::DseResult result;
 };
 
@@ -113,6 +117,7 @@ runSweep(const workload::Workload &wl,
     out.candidates = out.result.points.size();
     out.bestObjective = scalarObjective(out.result.best().summary);
     out.frontierSize = out.result.frontier.size();
+    out.costEvals = model.cacheSize();
     return out;
 }
 
@@ -165,10 +170,12 @@ gate(benchgate::BaselineChecker &chk, const benchgate::FlatJson &,
 {
     // The exhaustive evaluation rate must not regress beyond the
     // tolerance. The rest is deterministic under the pinned seed and
-    // gated exactly: annealing reaches its best point after the same
-    // number of evaluations, that point is never worse than the
-    // exhaustive optimum, and the determinism rerun never diverges.
+    // gated exactly: the sweep evaluates the same cost-model keys,
+    // annealing reaches its best point after the same number of
+    // evaluations, that point is never worse than the exhaustive
+    // optimum, and the determinism rerun never diverges.
     chk.checkThroughput("exhaustive.candidates_per_sec");
+    chk.checkCountEqual("exhaustive.cost_evals");
     chk.checkCountEqual("annealing.evaluations_to_optimum");
     chk.checkCountNotAbove("annealing.quality_gap",
                            "annealing.quality_gap");
@@ -274,7 +281,8 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
         "    \"candidates\": %zu,\n"
         "    \"seconds\": %.6f,\n"
         "    \"candidates_per_sec\": %.3f,\n"
-        "    \"best_objective\": %.9g\n"
+        "    \"best_objective\": %.9g,\n"
+        "    \"cost_evals\": %zu\n"
         "  },\n"
         "  \"annealing\": {\n"
         "    \"candidates\": %zu,\n"
@@ -294,7 +302,7 @@ run(const benchgate::BenchArgs &args, std::FILE *json)
         small ? "small" : "full", threads, exhaustive.candidates,
         exhaustive.seconds,
         candidatesPerSec(exhaustive), exhaustive.bestObjective,
-        annealing.candidates, annealing.seconds,
+        exhaustive.costEvals, annealing.candidates, annealing.seconds,
         candidatesPerSec(annealing), annealing.bestObjective,
         to_optimum, annealing.frontierSize, quality_gap,
         candidatesPerSec(parallel), deterministic ? 1 : 0,

@@ -27,7 +27,7 @@ applyRdaOverheads(cost::LayerCost &cost, const RdaOverheads &rda,
         rda.reconfigEnergyPerPe * static_cast<double>(res.numPes);
 
     cost.cycles += reconfig_cycles;
-    cost.latencySec = cost.cycles / (res.clockGHz * 1e9);
+    cost.latencySec = cost.cycles / (dnn::kClockGHz * 1e9);
     cost.energyUnits += taxed + reconfig_energy;
     cost.energyMj = energy.toMillijoules(cost.energyUnits);
 }

@@ -45,16 +45,10 @@ CostModel::identity() const
             opts.staticEnergy ? 1u : 0u};
 }
 
-std::array<std::uint64_t, 7>
+std::array<std::uint64_t, 3>
 SubAccResources::identity() const
 {
-    return {numPes,
-            l2Bytes,
-            l1Bytes,
-            util::doubleBits(bwGBps),
-            util::doubleBits(dramBwGBps),
-            util::doubleBits(clockGHz),
-            util::doubleBits(localBwBytesPerCycle)};
+    return {numPes, l2Bytes, util::doubleBits(bwGBps)};
 }
 
 LayerCost
@@ -65,7 +59,7 @@ CostModel::evaluate(const dnn::Layer &layer,
     CacheKey key{};
     const std::array<std::uint64_t, 9> geometry =
         layer.canonical().identity();
-    const std::array<std::uint64_t, 7> resources = res.identity();
+    const std::array<std::uint64_t, 3> resources = res.identity();
     std::copy(geometry.begin(), geometry.end(), key.begin());
     key[9] = static_cast<std::uint64_t>(style);
     std::copy(resources.begin(), resources.end(), key.begin() + 10);
@@ -81,7 +75,6 @@ CostModel::evaluate(const dnn::Layer &layer,
     // value and the emplace race below is benign.
     dataflow::MapperConstraints constraints;
     constraints.numPes = res.numPes;
-    constraints.l1Bytes = res.l1Bytes;
     constraints.l2TileBudgetBytes = res.l2Bytes;
     dataflow::Mapping mapping =
         dataflow::buildMapping(style, layer, constraints);
@@ -209,18 +202,16 @@ CostModel::evaluateMapping(const dataflow::Mapping &mapping,
     // (DRAM-path) traffic — that is the resource Herald partitions.
     cost.computeCycles = static_cast<double>(reuse.outerIters) *
                          static_cast<double>(reuse.innerMacsPerPe);
-    const double bw_bytes_cycle = res.bwGBps / res.clockGHz;
-    const double dram_bytes_cycle =
-        std::min(res.effectiveDramBw(), res.bwGBps) / res.clockGHz;
+    const double bw_bytes_cycle = res.bwGBps / dnn::kClockGHz;
     cost.nocCycles = cost.nocBytes / res.effectiveLocalBw();
-    cost.dramCycles = cost.dramBytes / dram_bytes_cycle;
+    cost.dramCycles = cost.dramBytes / bw_bytes_cycle;
 
     const double fill_cycles =
         (static_cast<double>(staging_bytes) / 2.0) / bw_bytes_cycle;
     cost.cycles =
         std::max({cost.computeCycles, cost.nocCycles, cost.dramCycles}) +
         fill_cycles + kLayerOverheadCycles;
-    cost.latencySec = cost.cycles / (res.clockGHz * 1e9);
+    cost.latencySec = cost.cycles / (dnn::kClockGHz * 1e9);
 
     // --- Energy ---
     const double macs_d = static_cast<double>(cost.macs);

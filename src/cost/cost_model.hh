@@ -29,24 +29,18 @@
 namespace herald::cost
 {
 
-/** Hardware resources of the (sub-)accelerator running the layer. */
+/**
+ * Hardware resources of the (sub-)accelerator running the layer: the
+ * three shares Herald partitions. The chip clock (dnn::kClockGHz) and
+ * the per-PE register file (dataflow::kL1Bytes) are fixed; DRAM
+ * traffic shares the global NoC bandwidth, and the local buffer-to-
+ * array bus is derived from the array size (effectiveLocalBw()).
+ */
 struct SubAccResources
 {
     std::uint64_t numPes = 256;    //!< PE count
     double bwGBps = 32.0;          //!< global NoC bandwidth share
-    double dramBwGBps = 0.0;       //!< DRAM bandwidth (0 => == bwGBps)
     std::uint64_t l2Bytes = 1ULL << 20; //!< global-buffer share
-    std::uint64_t l1Bytes = 512;   //!< per-PE register file
-    double clockGHz = 1.0;         //!< PE clock
-
-    /**
-     * Local buffer-to-array interconnect width in bytes/cycle; 0
-     * derives it from the array size (a quarter word per PE per
-     * cycle, like NVDLA's 2048-bit CBUF port on a 1024-MAC core).
-     * The *global* NoC share (bwGBps) — the resource Herald
-     * partitions — bounds the buffer-fill (DRAM-path) traffic.
-     */
-    double localBwBytesPerCycle = 0.0;
 
     /**
      * Every field as a 64-bit pattern (doubles bit-for-bit), in one
@@ -54,19 +48,18 @@ struct SubAccResources
      * This is the one place the fields are listed for that purpose,
      * so a field added here reaches every cache key.
      */
-    std::array<std::uint64_t, 7> identity() const;
+    std::array<std::uint64_t, 3> identity() const;
 
-    double
-    effectiveDramBw() const
-    {
-        return dramBwGBps > 0.0 ? dramBwGBps : bwGBps;
-    }
-
+    /**
+     * Local buffer-to-array interconnect width in bytes/cycle: a
+     * quarter word per PE per cycle (like NVDLA's 2048-bit CBUF port
+     * on a 1024-MAC core), at least 16. The *global* NoC share
+     * (bwGBps) — the resource Herald partitions — bounds the
+     * buffer-fill (DRAM-path) traffic.
+     */
     double
     effectiveLocalBw() const
     {
-        if (localBwBytesPerCycle > 0.0)
-            return localBwBytesPerCycle;
         double derived = static_cast<double>(numPes) / 4.0;
         return derived < 16.0 ? 16.0 : derived;
     }
@@ -93,7 +86,7 @@ struct LayerCost
 {
     // Headline metrics.
     double cycles = 0.0;     //!< end-to-end layer latency in cycles
-    double latencySec = 0.0; //!< cycles / clock
+    double latencySec = 0.0; //!< cycles / dnn::kClockGHz
     double energyUnits = 0.0; //!< total energy in MAC units
     double energyMj = 0.0;   //!< total energy in millijoules
 
@@ -185,9 +178,9 @@ class CostModel
      * The full (layer geometry, style, resources) tuple a cached cost
      * is valid for: dnn::CanonicalConv::identity() (evaluation sees
      * the layer only through its canonical dims), the style, then
-     * SubAccResources::identity().
+     * SubAccResources::identity() (PEs, buffer share, bandwidth).
      */
-    using CacheKey = std::array<std::uint64_t, 17>;
+    using CacheKey = std::array<std::uint64_t, 13>;
 
     EnergyModel energy;
     CostOptions opts;

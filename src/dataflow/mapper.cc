@@ -30,11 +30,8 @@ addLoop(std::vector<LoopLevel> &nest, Dim dim, std::uint64_t trips,
 }
 
 /** Elements that fit in the per-PE register file. */
-std::uint64_t
-l1Elems(const MapperConstraints &hw)
-{
-    return std::max<std::uint64_t>(8, hw.l1Bytes / dnn::kDataBytes);
-}
+constexpr std::uint64_t kL1Elems =
+    std::max<std::uint64_t>(8, kL1Bytes / dnn::kDataBytes);
 
 /** Input rows/cols covered by an output extent and filter extent. */
 std::uint64_t
@@ -98,7 +95,7 @@ mapNvdla(const dnn::CanonicalConv &conv, const MapperConstraints &hw)
         std::uint64_t in = haloExtent(conv, by, conv.r) *
                            haloExtent(conv, bx, conv.s);
         std::uint64_t ps = by * bx;
-        return wt + in + ps <= l1Elems(hw);
+        return wt + in + ps <= kL1Elems;
     };
     while (ty * tx > 1 && !fits_l1(ty, tx)) {
         if (ty >= tx)
@@ -171,7 +168,7 @@ mapShiDiannao(const dnn::CanonicalConv &conv,
     // psum entry per held map; 32 maps is well within ShiDianNao's
     // NBout capacity and amortizes input streaming across K.
     std::uint64_t kt = std::min<std::uint64_t>(conv.k, 32);
-    while (kt > 1 && kt + 2 > l1Elems(hw))
+    while (kt > 1 && kt + 2 > kL1Elems)
         kt /= 2;
 
     // Channel tile: stream as many input channels as the staging
@@ -239,7 +236,7 @@ mapEyeriss(const dnn::CanonicalConv &conv, const MapperConstraints &hw)
         std::uint64_t wt = conv.s * maps;
         std::uint64_t in = haloExtent(conv, seg, conv.s);
         std::uint64_t ps = seg * maps;
-        return wt + in + ps <= l1Elems(hw);
+        return wt + in + ps <= kL1Elems;
     };
     while (x0 > 1 && !fits_l1(x0, 1))
         --x0;

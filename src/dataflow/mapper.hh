@@ -22,11 +22,13 @@
 namespace herald::dataflow
 {
 
+/** Per-PE register file bytes (every style, every array size). */
+inline constexpr std::uint64_t kL1Bytes = 512;
+
 /** Hardware constraints the mapper must respect. */
 struct MapperConstraints
 {
     std::uint64_t numPes = 256;       //!< PEs of the sub-accelerator
-    std::uint64_t l1Bytes = 512;      //!< per-PE register file
     std::uint64_t l2TileBudgetBytes = 1ULL << 20; //!< staging budget
 };
 

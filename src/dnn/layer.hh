@@ -22,6 +22,13 @@ namespace herald::dnn
 /** Bytes per tensor element (16-bit fixed point, as in MAESTRO). */
 constexpr std::uint64_t kDataBytes = 2;
 
+/**
+ * Chip clock in GHz. A sub-accelerator is a (dataflow, PE share,
+ * bandwidth share, buffer share) slice of a fixed-clock chip (paper
+ * Definition 1); this is the one place cycles meet seconds.
+ */
+constexpr double kClockGHz = 1.0;
+
 /** Operator type of a layer. */
 enum class LayerKind
 {

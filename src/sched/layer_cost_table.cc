@@ -33,12 +33,12 @@ CostColumnCache::keyOf(const accel::SubAccelerator &sub,
     Key key{};
     key[0] = sub.flexible ? 1 : 0;
     key[1] = sub.flexible ? 0 : static_cast<std::uint64_t>(sub.style);
-    const std::array<std::uint64_t, 7> id = res.identity();
+    const std::array<std::uint64_t, 3> id = res.identity();
     std::copy(id.begin(), id.end(), key.begin() + 2);
-    key[9] = util::doubleBits(rda.interconnectEnergyTax);
-    key[10] = util::doubleBits(rda.reconfigBaseCycles);
-    key[11] = util::doubleBits(rda.reconfigCyclesPerPe);
-    key[12] = util::doubleBits(rda.reconfigEnergyPerPe);
+    key[5] = util::doubleBits(rda.interconnectEnergyTax);
+    key[6] = util::doubleBits(rda.reconfigBaseCycles);
+    key[7] = util::doubleBits(rda.reconfigCyclesPerPe);
+    key[8] = util::doubleBits(rda.reconfigEnergyPerPe);
     return key;
 }
 
@@ -97,9 +97,12 @@ CostColumnCache::bind(const workload::Workload &wl,
                     "instance serves one workload");
 }
 
-LayerCostTable::DegradedView::DegradedView(const LayerCostTable &t)
-    : table(&t), minCycDeg(t.minCyc), remSuffixDeg(t.remSuffix)
+LayerCostTable::DegradedView::DegradedView(const LayerCostTable &t,
+                                           const std::vector<char> &dead)
+    : table(&t), minCycDeg(t.minCyc.size()),
+      remSuffixDeg(t.remSuffix.size())
 {
+    rebuild(dead);
 }
 
 void

@@ -95,7 +95,7 @@ class CostColumnCache
     friend class LayerCostTable;
 
     /** Style, flexibility, resource identity, RDA coefficients. */
-    using Key = std::array<std::uint64_t, 13>;
+    using Key = std::array<std::uint64_t, 9>;
 
     /** Everything the column of @p sub on @p res is a function of. */
     static Key keyOf(const accel::SubAccelerator &sub,
@@ -159,10 +159,11 @@ class LayerCostTable
      * recompute every derived quantity that depends on them (metric
      * values, per-row sub-acc order, optimistic minima, remaining-
      * work suffix sums). This is the epoch-swap path of elastic
-     * repartitioning: after a PE/buffer migration only the donor and
-     * receiver columns changed, so the other columns' entries are
-     * reused verbatim. Rows are independent pure functions, so the
-     * threaded refill is bit-identical to the serial one. @p acc
+     * repartitioning: after a PE/buffer migration only the columns
+     * whose resources changed (sched::resourceChanges) are listed, so
+     * the other columns' entries are reused verbatim. Rows are
+     * independent pure functions, so the threaded refill is
+     * bit-identical to the serial one. @p acc
      * must have the same sub-accelerator arity (and @p wl the same
      * unique-model set) the table was built with — fatal otherwise.
      */
@@ -242,14 +243,16 @@ class LayerCostTable
      * lost — the pristine table's "best sub-accelerator" lower
      * bound is no longer a bound when that sub-accelerator is dead.
      * Rows with every column masked report +infinity (no
-     * continuation exists). The view borrows the table; rebuild() is
-     * O(rows x sub-accs).
+     * continuation exists); with nothing masked the view reads the
+     * table's own bounds bit for bit. The view borrows the table;
+     * rebuild() is O(rows x sub-accs).
      */
     class DegradedView
     {
       public:
-        /** Identity view (equals the pristine table). */
-        explicit DegradedView(const LayerCostTable &table);
+        /** The view of @p table with the @p dead columns masked. */
+        DegradedView(const LayerCostTable &table,
+                     const std::vector<char> &dead);
 
         /** Recompute with column @p a removed when dead[a] != 0. */
         void rebuild(const std::vector<char> &dead);

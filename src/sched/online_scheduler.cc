@@ -159,30 +159,22 @@ OnlineScheduler::bind(cost::CostModel &cost_model,
     latHist.assign(kLatBuckets, 0);
 
     if (faulty && dropAny) {
-        admissionView =
-            std::make_unique<LayerCostTable::DegradedView>(*table);
         deadMask.assign(nAcc, 0);
-        bool dead_at_zero = false;
         for (std::size_t a = 0; a < nAcc; ++a) {
             const double fail = faults.permanentFailureCycle(a);
-            if (fail <= 0.0) {
+            if (fail <= 0.0)
                 deadMask[a] = 1;
-                dead_at_zero = true;
-            } else if (std::isfinite(fail)) {
+            else if (std::isfinite(fail))
                 permFail.emplace_back(fail, a);
-            }
         }
-        if (dead_at_zero)
-            admissionView->rebuild(deadMask);
+        admissionView = std::make_unique<LayerCostTable::DegradedView>(
+            *table, deadMask);
         std::sort(permFail.begin(), permFail.end());
-        if (doomDrop) {
-            // The run view starts from the same dead-at-zero state
-            // and is refreshed as the floor passes later onsets.
+        // The run view starts from the same dead-at-zero state and is
+        // refreshed as the floor passes later onsets.
+        if (doomDrop)
             runView = std::make_unique<LayerCostTable::DegradedView>(
-                *table);
-            if (dead_at_zero)
-                runView->rebuild(deadMask);
-        }
+                *table, deadMask);
     }
 }
 
@@ -922,34 +914,27 @@ OnlineScheduler::maybeReconfigure()
         std::max(accAvail[d.donor], accAvail[d.receiver]);
     const double window_end =
         window_start + opts.sched.reconfig.penaltyCycles(d.movedPes);
-    epochAcc =
+    auto next =
         std::make_unique<accel::Accelerator>(cur.withPartition(epoch));
+    const std::vector<std::size_t> changed = resourceChanges(cur, *next);
+    epochAcc = std::move(next);
     peSplit = epoch.peSplit;
 
-    // Swap in the new epoch's costs: only the donor and receiver
-    // columns are re-prefilled; every other column is reused verbatim.
+    // Swap in the new epoch's costs: only the columns whose resources
+    // changed are re-prefilled; every other column is reused verbatim.
     if (!epochTable)
         epochTable = std::make_unique<LayerCostTable>(*table);
-    epochTable->rebuildColumns(
-        *reconfigCostModel, *specWl, *epochAcc, opts.sched.metric,
-        opts.sched.rdaOverheads,
-        {std::min(d.donor, d.receiver),
-         std::max(d.donor, d.receiver)},
-        opts.sched.prefillThreads);
+    epochTable->rebuildColumns(*reconfigCostModel, *specWl, *epochAcc,
+                               opts.sched.metric, opts.sched.rdaOverheads,
+                               changed, opts.sched.prefillThreads);
     activeTable = epochTable.get();
 
     // The run-time feasibility proofs read remaining-work bounds off
     // the active table — rebuild them against the new epoch. The
     // admission view stays frozen on the pristine table.
-    if (runView) {
+    if (runView)
         runView = std::make_unique<LayerCostTable::DegradedView>(
-            *activeTable);
-        bool any_dead = false;
-        for (char dm : deadMask)
-            any_dead = any_dead || dm != 0;
-        if (any_dead)
-            runView->rebuild(deadMask);
-    }
+            *activeTable, deadMask);
     rekeyDoomSet();
 
     accAvail[d.donor] = window_end;

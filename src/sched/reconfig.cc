@@ -145,4 +145,18 @@ planMigrationEpoch(const accel::Accelerator &acc,
     return epoch;
 }
 
+std::vector<std::size_t>
+resourceChanges(const accel::Accelerator &from,
+                const accel::Accelerator &to)
+{
+    if (from.numSubAccs() != to.numSubAccs())
+        util::panic("resourceChanges: arity mismatch");
+    std::vector<std::size_t> changed;
+    for (std::size_t a = 0; a < from.numSubAccs(); ++a) {
+        if (from.resources(a).identity() != to.resources(a).identity())
+            changed.push_back(a);
+    }
+    return changed;
+}
+
 } // namespace herald::sched

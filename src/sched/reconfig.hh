@@ -151,4 +151,15 @@ planMigrationEpoch(const accel::Accelerator &acc,
                    const ReconfigDecision &decision,
                    std::uint64_t epoch_id);
 
+/**
+ * Indices, ascending, of the sub-accelerators whose resource identity
+ * differs between @p from and @p to (same arity): the cost-table
+ * columns an epoch swap must re-evaluate. Besides donor and receiver
+ * this can list a third sub-accelerator when the swap first
+ * materializes the buffer split (planMigrationEpoch gives the
+ * remainder bytes to the first shares; the floor share preceded it).
+ */
+std::vector<std::size_t> resourceChanges(const accel::Accelerator &from,
+                                         const accel::Accelerator &to);
+
 } // namespace herald::sched

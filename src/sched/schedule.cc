@@ -196,12 +196,12 @@ Schedule::busyCycles(std::size_t acc_idx) const
 
 ScheduleSummary
 Schedule::finalize(const accel::Accelerator &acc,
-                   const cost::EnergyModel &energy, bool charge_idle,
-                   double clock_ghz) const
+                   const cost::EnergyModel &energy, bool charge_idle) const
 {
     ScheduleSummary summary;
     summary.makespanCycles = makespanCycles();
-    summary.latencySec = summary.makespanCycles / (clock_ghz * 1e9);
+    summary.latencySec =
+        summary.makespanCycles / (dnn::kClockGHz * 1e9);
     summary.busyCycles.resize(acc.numSubAccs(), 0.0);
 
     for (const ScheduledLayer &e : list) {
@@ -227,11 +227,9 @@ Schedule::finalize(const accel::Accelerator &acc,
 ScheduleSummary
 Schedule::finalize(const workload::Workload &wl,
                    const accel::Accelerator &acc,
-                   const cost::EnergyModel &energy, bool charge_idle,
-                   double clock_ghz) const
+                   const cost::EnergyModel &energy, bool charge_idle) const
 {
-    ScheduleSummary summary =
-        finalize(acc, energy, charge_idle, clock_ghz);
+    ScheduleSummary summary = finalize(acc, energy, charge_idle);
     summary.sla = computeSla(wl);
     return summary;
 }

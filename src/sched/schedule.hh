@@ -254,8 +254,7 @@ class Schedule
      */
     ScheduleSummary finalize(const accel::Accelerator &acc,
                              const cost::EnergyModel &energy,
-                             bool charge_idle = true,
-                             double clock_ghz = 1.0) const;
+                             bool charge_idle = true) const;
 
     /**
      * Workload-aware finalize: everything the base overload computes
@@ -266,8 +265,7 @@ class Schedule
     ScheduleSummary finalize(const workload::Workload &wl,
                              const accel::Accelerator &acc,
                              const cost::EnergyModel &energy,
-                             bool charge_idle = true,
-                             double clock_ghz = 1.0) const;
+                             bool charge_idle = true) const;
 
     /** The SLA statistics alone (also embedded by finalize(wl,..)). */
     SlaStats computeSla(const workload::Workload &wl) const;

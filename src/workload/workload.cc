@@ -226,13 +226,11 @@ Workload::hasDeadlines() const
 }
 
 double
-fpsPeriodCycles(double fps, double clock_ghz)
+fpsPeriodCycles(double fps)
 {
-    if (!std::isfinite(fps) || fps <= 0.0 ||
-        !std::isfinite(clock_ghz) || clock_ghz <= 0.0)
-        util::fatal("fpsPeriodCycles: fps and clock must be finite "
-                    "and > 0");
-    const double period = clock_ghz * 1e9 / fps;
+    if (!std::isfinite(fps) || fps <= 0.0)
+        util::fatal("fpsPeriodCycles: fps must be finite and > 0");
+    const double period = dnn::kClockGHz * 1e9 / fps;
     if (!(period <= kMaxCycle))
         util::fatal("fpsPeriodCycles: period exceeds the ", kMaxCycle,
                     "-cycle limit, got ", period);
@@ -275,14 +273,14 @@ mlperf(int batch)
 }
 
 Workload
-arvrA60fps(int frames60, double clock_ghz)
+arvrA60fps(int frames60)
 {
     if (frames60 < 1)
         util::fatal("arvrA60fps: frames60 must be >= 1");
     Workload wl("AR/VR-A@60fps");
-    const double p60 = fpsPeriodCycles(60.0, clock_ghz);
-    const double p30 = fpsPeriodCycles(30.0, clock_ghz);
-    const double p15 = fpsPeriodCycles(15.0, clock_ghz);
+    const double p60 = fpsPeriodCycles(60.0);
+    const double p30 = fpsPeriodCycles(30.0);
+    const double p15 = fpsPeriodCycles(15.0);
     wl.addPeriodicModel(dnn::mobileNetV2(), frames60, p60);
     wl.addPeriodicModel(dnn::uNet(), std::max(1, frames60 / 2), p30);
     wl.addPeriodicModel(dnn::resnet50(), std::max(1, frames60 / 4),
@@ -291,13 +289,13 @@ arvrA60fps(int frames60, double clock_ghz)
 }
 
 Workload
-mixedTenantScenario(int frames60, double clock_ghz)
+mixedTenantScenario(int frames60)
 {
     if (frames60 < 1)
         util::fatal("mixedTenantScenario: frames60 must be >= 1");
     Workload wl("AR/VR+MLPerf tenants");
-    const double p60 = fpsPeriodCycles(60.0, clock_ghz);
-    const double p30 = fpsPeriodCycles(30.0, clock_ghz);
+    const double p60 = fpsPeriodCycles(60.0);
+    const double p30 = fpsPeriodCycles(30.0);
     // Latency-critical AR/VR tenant.
     wl.addPeriodicModel(dnn::mobileNetV2(), frames60, p60);
     wl.addPeriodicModel(dnn::brqHandposeNet(), frames60, p60);
@@ -319,14 +317,14 @@ mixedTenantScenario(int frames60, double clock_ghz)
 // earliest-deadline dispatch.
 
 Workload
-arvrAOverloaded(int frames60, double overload, double clock_ghz)
+arvrAOverloaded(int frames60, double overload)
 {
     if (frames60 < 1)
         util::fatal("arvrAOverloaded: frames60 must be >= 1");
     if (overload <= 1.0)
         util::fatal("arvrAOverloaded: overload must be > 1");
     Workload wl("AR/VR-A overloaded");
-    const double p = fpsPeriodCycles(60.0, clock_ghz) / overload;
+    const double p = fpsPeriodCycles(60.0) / overload;
     // Latency-critical light stream: deadline two (shrunk) periods.
     wl.addPeriodicModel(dnn::mobileNetV2(), frames60, p, 2.0 * p);
     // UNet at these rates is hopeless on an edge-class chip (one
@@ -345,15 +343,14 @@ arvrAOverloaded(int frames60, double overload, double clock_ghz)
 }
 
 Workload
-mixedTenantOverloaded(int frames60, double overload,
-                      double clock_ghz)
+mixedTenantOverloaded(int frames60, double overload)
 {
     if (frames60 < 1)
         util::fatal("mixedTenantOverloaded: frames60 must be >= 1");
     if (overload <= 1.0)
         util::fatal("mixedTenantOverloaded: overload must be > 1");
     Workload wl("AR/VR+MLPerf overloaded");
-    const double p = fpsPeriodCycles(60.0, clock_ghz) / overload;
+    const double p = fpsPeriodCycles(60.0) / overload;
     // Latency-critical tenant with relaxed (multi-frame) pipeline
     // deadlines — delaying one frame is tolerable, dropping the
     // whole stream behind a heavy job is not.
@@ -374,14 +371,14 @@ mixedTenantOverloaded(int frames60, double overload,
 }
 
 Workload
-faultedFactory(int frames60, double clock_ghz)
+faultedFactory(int frames60)
 {
     if (frames60 < 1)
         util::fatal("faultedFactory: frames60 must be >= 1");
     Workload wl("factory-faulted");
-    const double p60 = fpsPeriodCycles(60.0, clock_ghz);
-    const double p30 = fpsPeriodCycles(30.0, clock_ghz);
-    const double p15 = fpsPeriodCycles(15.0, clock_ghz);
+    const double p60 = fpsPeriodCycles(60.0);
+    const double p30 = fpsPeriodCycles(30.0);
+    const double p15 = fpsPeriodCycles(15.0);
     // Multi-period deadlines: roughly 25% utilization per
     // sub-accelerator of an edge-class 2-way HDA fault-free, so one
     // surviving sub-accelerator still has headroom to absorb
@@ -401,42 +398,38 @@ faultedFactory(int frames60, double clock_ghz)
 }
 
 Workload
-shiftingLoadFactory(int frames, double clock_ghz)
+shiftingLoadFactory(int frames)
 {
     if (frames < 8)
         util::fatal("shiftingLoadFactory: frames must be >= 8");
     Workload wl("shifting-load factory");
-    const double scale = 1.0 / clock_ghz;
     // Phase 1 — tenant A: Br-Q Handpose (NVDLA-affine, ~4.1e6
     // optimistic cycles on a 768-PE NVDLA side, ~6.0e6 at 512) at a
     // rate only a large NVDLA share sustains; the two-period
     // deadline forgives transient backlog but not a steady one.
-    const double p1 = 4.5e6 * scale;
+    const double p1 = 4.5e6;
     wl.addPeriodicModel(dnn::brqHandposeNet(), frames, p1, 2.0 * p1);
     // Phase 2 — tenant B: UNet (Shi-affine, ~2.6e8 optimistic cycles
     // on a 768-PE Shi side, ~3.8e8 at 512) arriving after tenant A's
     // stream has drained. The deadline sits between the large-share
     // and even-split runtimes, so only a Shi-heavy second half meets
     // it.
-    const double p2 = 3.0e8 * scale;
-    const double phase2 =
-        static_cast<double>(frames) * p1 + 1.0e7 * scale;
+    const double p2 = 3.0e8;
+    const double phase2 = static_cast<double>(frames) * p1 + 1.0e7;
     wl.addPeriodicModel(dnn::uNet(), std::max(2, frames / 8), p2,
-                        /*deadline=*/3.2e8 * scale,
-                        /*phase=*/phase2);
+                        /*deadline=*/3.2e8, /*phase=*/phase2);
     return wl;
 }
 
 Workload
-interactiveOverloaded(int frames60, double overload,
-                      double clock_ghz)
+interactiveOverloaded(int frames60, double overload)
 {
     if (frames60 < 1)
         util::fatal("interactiveOverloaded: frames60 must be >= 1");
     if (overload <= 1.0)
         util::fatal("interactiveOverloaded: overload must be > 1");
     Workload wl("interactive overloaded");
-    const double p = fpsPeriodCycles(60.0, clock_ghz) / overload;
+    const double p = fpsPeriodCycles(60.0) / overload;
     // Heavy analytics pair: FocalLengthDepthNet's individual layers
     // run for multiple interactive periods on the edge chip, so a
     // greedily committed layer spans several frame arrivals. The SLA

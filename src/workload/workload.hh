@@ -156,8 +156,8 @@ class Workload
     void registerSpec(const dnn::Model &model, int copies);
 };
 
-/** Frame period in cycles for @p fps at @p clock_ghz. */
-double fpsPeriodCycles(double fps, double clock_ghz = 1.0);
+/** Frame period in cycles for @p fps at dnn::kClockGHz. */
+double fpsPeriodCycles(double fps);
 
 /** AR/VR-A: Resnet50 x2, UNet x4, MobileNetV2 x4 (Table II). */
 Workload arvrA();
@@ -171,10 +171,10 @@ Workload mlperf(int batch = 1);
 /**
  * Real-time AR/VR-A: the Table II mix as periodic frame streams —
  * MobileNetV2 @ 60 FPS, UNet @ 30 FPS, Resnet50 @ 15 FPS — over a
- * horizon of @p frames60 60-FPS frames at @p clock_ghz. Deadlines
+ * horizon of @p frames60 60-FPS frames. Deadlines
  * are implicit (one period).
  */
-Workload arvrA60fps(int frames60 = 4, double clock_ghz = 1.0);
+Workload arvrA60fps(int frames60 = 4);
 
 /**
  * Mixed-rate multi-tenant scenario: a latency-critical AR/VR tenant
@@ -182,8 +182,7 @@ Workload arvrA60fps(int frames60 = 4, double clock_ghz = 1.0);
  * the chip with a best-effort MLPerf tenant (Resnet50 + SSD-MobileNet
  * batch jobs, no deadlines).
  */
-Workload mixedTenantScenario(int frames60 = 2,
-                             double clock_ghz = 1.0);
+Workload mixedTenantScenario(int frames60 = 2);
 
 /**
  * Over-subscribed variants: the same stream mixes pushed past what
@@ -195,13 +194,11 @@ Workload mixedTenantScenario(int frames60 = 2,
  * whose execution time nearly fills it, the shape that separates
  * least-slack from earliest-deadline dispatch under pressure.
  */
-Workload arvrAOverloaded(int frames60 = 8, double overload = 4.0,
-                         double clock_ghz = 1.0);
+Workload arvrAOverloaded(int frames60 = 8, double overload = 4.0);
 
 /** Over-subscribed mixedTenantScenario (see arvrAOverloaded). */
 Workload mixedTenantOverloaded(int frames60 = 8,
-                               double overload = 6.0,
-                               double clock_ghz = 1.0);
+                               double overload = 6.0);
 
 /**
  * Factory-floor inspection mix for fault-injection studies: three
@@ -214,7 +211,7 @@ Workload mixedTenantOverloaded(int frames60 = 8,
  * out entirely. Paired with sched::factoryFaultTimeline() by
  * bench/bench_faults.cc and the fault tests.
  */
-Workload faultedFactory(int frames60 = 4, double clock_ghz = 1.0);
+Workload faultedFactory(int frames60 = 4);
 
 /**
  * Over-subscribed interactive mix: two heavy loose-SLA analytics
@@ -230,8 +227,7 @@ Workload faultedFactory(int frames60 = 4, double clock_ghz = 1.0);
  * well under one period.
  */
 Workload interactiveOverloaded(int frames60 = 8,
-                               double overload = 4.0,
-                               double clock_ghz = 1.0);
+                               double overload = 4.0);
 
 /**
  * Shifting-load factory scenario for elastic repartitioning
@@ -244,10 +240,9 @@ Workload interactiveOverloaded(int frames60 = 8,
  * — a big NVDLA side meets phase 1 and starves phase 2, and vice
  * versa — which is exactly the gap runtime PE migration closes.
  * @p frames scales tenant A's stream (tenant B gets ~frames/8
- * frames); calibrated against the edge-class chip at @p clock_ghz.
+ * frames); calibrated against the edge-class chip.
  */
-Workload shiftingLoadFactory(int frames = 16,
-                             double clock_ghz = 1.0);
+Workload shiftingLoadFactory(int frames = 16);
 
 } // namespace herald::workload
 

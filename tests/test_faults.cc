@@ -279,8 +279,8 @@ TEST_F(FaultTest, DegradedViewMasksDeadColumns)
     sched::LayerCostTable table = sched::LayerCostTable::build(
         model, wl, acc, sched::Metric::Edp, accel::RdaOverheads{});
 
-    // The identity view equals the pristine table.
-    sched::LayerCostTable::DegradedView view(table);
+    // With nothing masked the view equals the pristine table.
+    sched::LayerCostTable::DegradedView view(table, {0, 0});
     for (std::size_t row = 0; row < table.numUniqueLayers(); ++row)
         EXPECT_DOUBLE_EQ(view.minCycles(row), table.minCycles(row));
     EXPECT_DOUBLE_EQ(view.remainingCycles(0, 0),

@@ -9,7 +9,8 @@
  * the online watchdog runs. Schedule::identicalTo() is made to return
  * false on each thing it compares, and the binding scenario pins
  * planLayer's demotion to a later candidate when the buffer pushes a
- * start past a permanent failure.
+ * start past a permanent failure, and the frame drop when every
+ * demotion fails too.
  */
 
 #include <gtest/gtest.h>
@@ -255,6 +256,7 @@ class InvariantTest : public ::testing::Test
 
     static constexpr double kContextCycles = 5000.0;
     static constexpr double kBindingFailure = 3.5e9;
+    static constexpr double kSecondFailure = 4e9;
 
     cost::CostModel model;
 };
@@ -828,6 +830,62 @@ TEST_F(InvariantTest, BufferPushPastAPermanentFailureDemotes)
         acc_avail[e.accIdx] = e.endCycle;
     }
     EXPECT_GE(demoted, 1u);
+}
+
+TEST_F(InvariantTest, EveryDemotionFailingDropsTheFrame)
+{
+    // Sub-accelerator 1 fails for good too, later than 0: a layer on
+    // 1 holds the 24 KiB buffer across 0's failure, so a frame whose
+    // preferred candidate 0 is still usable gets pushed past 0's
+    // failure, and its one other candidate is dead by then.
+    SchedulerOptions sopts = bindingOptions();
+    sopts.faults.addPermanentFailure(1, kSecondFailure);
+    const Scenario sc = run(workload::arvrA(), edgeHda(24u << 10), sopts);
+    EXPECT_EQ(sc.validate(), "");
+
+    const sched::LayerCostTable table = sched::LayerCostTable::build(
+        model, sc.wl, sc.acc, sopts.metric, sopts.rdaOverheads, 1);
+    sched::OnlineOptions oopts;
+    oopts.sched = sopts;
+    oopts.retainSchedule = true;
+    sched::OnlineScheduler batch(model, sc.wl, sc.acc, table, oopts);
+    const Schedule batched = batch.scheduleWorkload();
+    EXPECT_TRUE(batched.identicalTo(sc.s));
+    sched::OnlineScheduler streamed(model, sc.wl, sc.acc, table, oopts);
+    for (const workload::Instance &inst : sc.wl.instances())
+        streamed.submit(inst.specIdx, inst.arrivalCycle,
+                        inst.deadlineCycle);
+    streamed.drain();
+    EXPECT_TRUE(streamed.schedule().identicalTo(batched));
+
+    // Without a drop policy a frame is dropped only when its layer
+    // has no placement. Every entry on sub-accelerator 0 ends before
+    // its failure, so a dropped frame that was ready before it still
+    // had 0 usable: the drop came from every demotion failing, not
+    // from a plan with no usable candidate.
+    double end0 = 0.0;
+    std::vector<double> ready(sc.wl.numInstances());
+    for (std::size_t i = 0; i < ready.size(); ++i)
+        ready[i] = sc.wl.instances()[i].arrivalCycle;
+    for (const ScheduledLayer &e : sc.s.entries()) {
+        if (e.accIdx == 0)
+            end0 = std::max(end0, e.endCycle);
+        ready[e.instanceIdx] = std::max(ready[e.instanceIdx], e.endCycle);
+    }
+    EXPECT_LT(end0, kBindingFailure);
+    std::size_t pushed_out = 0;
+    for (std::size_t i = 0; i < ready.size(); ++i) {
+        if (sc.s.isDropped(i) && ready[i] < kBindingFailure)
+            ++pushed_out;
+    }
+    EXPECT_EQ(pushed_out, 2u);
+    // A layer on sub-accelerator 1 spans 0's failure.
+    EXPECT_TRUE(std::any_of(sc.s.entries().begin(), sc.s.entries().end(),
+                            [](const ScheduledLayer &e) {
+                                return e.accIdx == 1 &&
+                                       e.startCycle < kBindingFailure &&
+                                       e.endCycle > kBindingFailure;
+                            }));
 }
 
 } // namespace

@@ -134,8 +134,6 @@ TEST_F(RealtimeTest, FpsPeriodCycles)
 {
     // 60 FPS at 1 GHz: 1e9 / 60 cycles per frame.
     EXPECT_NEAR(workload::fpsPeriodCycles(60.0), 1e9 / 60.0, 1e-3);
-    EXPECT_NEAR(workload::fpsPeriodCycles(30.0, 2.0), 2e9 / 30.0,
-                1e-3);
 }
 
 TEST_F(RealtimeTest, FactoryScenariosAreRealtime)

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -217,9 +218,9 @@ TEST_F(RepartitionTest, EpochRebuildEqualsFreshBuild)
         }
     }
 
-    // The identity degraded view, as constructed and as rebuilt with
-    // nothing masked, reads exactly the table's bounds.
-    sched::LayerCostTable::DegradedView view(fresh);
+    // The degraded view with nothing masked, as constructed and as
+    // rebuilt, reads exactly the table's bounds.
+    sched::LayerCostTable::DegradedView view(fresh, {0, 0, 0});
     for (int pass = 0; pass < 2; ++pass) {
         if (pass == 1)
             view.rebuild({0, 0, 0});
@@ -235,6 +236,54 @@ TEST_F(RepartitionTest, EpochRebuildEqualsFreshBuild)
                               fresh.minCycles(row));
                 }
             }
+        }
+    }
+}
+
+TEST_F(RepartitionTest, EpochRebuildOfChangedColumnsEqualsFreshBuild)
+{
+    // The first migration materializes the buffer split, which hands
+    // the remainder byte of the 3-way edge buffer to sub-accelerator
+    // 0: a move between 1 and 2 changes column 0 too, and the rebuilt
+    // epoch table must still equal a fresh build.
+    const Workload wl = workload::arvrB();
+    const Accelerator acc = Accelerator::makeHda(
+        accel::edgeClass(),
+        {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao,
+         DataflowStyle::Eyeriss},
+        {256, 512, 256}, {4.0, 8.0, 4.0});
+    ASSERT_NE(acc.globalBufferBytes() % 3, 0u);
+    const sched::Metric metric = sched::Metric::Edp;
+    const accel::RdaOverheads rda{};
+    const sched::LayerCostTable base =
+        sched::LayerCostTable::build(model, wl, acc, metric, rda);
+    for (std::size_t donor = 0; donor < 3; ++donor) {
+        for (std::size_t receiver = 0; receiver < 3; ++receiver) {
+            if (donor == receiver)
+                continue;
+            SCOPED_TRACE(testing::Message()
+                         << donor << " -> " << receiver);
+            sched::ReconfigDecision move;
+            move.migrate = true;
+            move.donor = donor;
+            move.receiver = receiver;
+            move.movedPes = 128;
+            const Accelerator moved = acc.withPartition(
+                sched::planMigrationEpoch(acc, move, 1));
+            const std::vector<std::size_t> changed =
+                sched::resourceChanges(acc, moved);
+            std::vector<std::size_t> want = {donor, receiver};
+            if (donor != 0 && receiver != 0)
+                want.push_back(0);
+            std::sort(want.begin(), want.end());
+            EXPECT_EQ(changed, want);
+
+            sched::LayerCostTable table = base;
+            table.rebuildColumns(model, wl, moved, metric, rda, changed);
+            expectSameTable(
+                sched::LayerCostTable::build(model, wl, moved, metric,
+                                             rda),
+                table, wl);
         }
     }
 }
